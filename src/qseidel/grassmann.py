@@ -5,7 +5,9 @@ stored as tuples of weakly decreasing positive parts (no trailing
 zeros).  Torus-fixed points are k-subsets of {1..n}; internally each
 subset is a machine-word bitmask with bit s-1 standing for the element
 s, which keeps the exhaustive sweeps cheap.  The rank cap MAX_RANK
-guards the mask representation.
+guards the mask representation.  Sweeps ask for the same Schubert
+fixed-point sets many times over, so those sets and the k-subset tables
+behind them are cached once validated; cached values are immutable.
 
 Two indexing conventions coexist and both are needed downstream:
 
@@ -19,6 +21,7 @@ Two indexing conventions coexist and both are needed downstream:
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .perms import Perm, check_perm, is_min_coset_rep
@@ -27,6 +30,10 @@ Partition = tuple[int, ...]
 
 # Masks use one bit per element of {1..n}; raise above this rank.
 MAX_RANK = 16
+
+# Cached Schubert fixed-point sets.  An exhaustive sweep needs at most two
+# sets per box partition of the (n, k) block it is in, i.e. 504 at n = 10.
+FP_CACHE_SIZE = 1024
 
 
 def check_rank(k: int, n: int) -> None:
@@ -45,9 +52,9 @@ def normalize_partition(parts: Iterable[int]) -> Partition:
     ps = list(parts)
     while ps and ps[-1] == 0:
         ps.pop()
-    if any(p <= 0 for p in ps):
+    if ps and min(ps) <= 0:
         raise ValueError(f"parts must be positive: {ps}")
-    if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
+    if ps != sorted(ps, reverse=True):
         raise ValueError(f"parts must weakly decrease: {ps}")
     return tuple(ps)
 
@@ -173,11 +180,38 @@ def interval_mask(lo: int, hi: int) -> int:
     return ((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1)
 
 
-def k_subset_masks(n: int, k: int) -> list[int]:
+# Every mask over {1..12} fits; larger ranks evict the least recently used.
+@lru_cache(maxsize=1 << 12)
+def bit_values(mask: int) -> tuple[int, ...]:
+    """Single-bit masks of the elements of a subset, lowest first.
+
+    >>> bit_values(mask_of({1, 3}))
+    (1, 4)
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def k_subset_masks(n: int, k: int) -> tuple[int, ...]:
     """Masks of all k-subsets of {1..n}, ordered like sorted tuples."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return [mask_of(c) for c in itertools.combinations(range(1, n + 1), k)]
+    return tuple(mask_of(c) for c in itertools.combinations(range(1, n + 1), k))
+
+
+def flag_fixed_points(flags: Sequence[int], k: int, n: int) -> frozenset[int]:
+    """k-subsets S with |S n flags[i-1]| >= i for i = 1..k."""
+    masks = k_subset_masks(n, k)
+    for i, f in enumerate(flags, start=1):
+        # a k-subset meets a flag of size >= n-k+i in at least i elements
+        if f.bit_count() < n - k + i:
+            masks = [m for m in masks if (m & f).bit_count() >= i]
+    return frozenset(masks)
 
 
 def fp_schubert_b(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
@@ -190,12 +224,13 @@ def fp_schubert_b(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
     """
     lam = check_box(lam, k, n)
     check_rank(k, n)
+    return _fp_schubert_b(lam, k, n)
+
+
+@lru_cache(maxsize=FP_CACHE_SIZE)
+def _fp_schubert_b(lam: Partition, k: int, n: int) -> frozenset[int]:
     prefixes = [interval_mask(1, i + part(lam, k - i + 1)) for i in range(1, k + 1)]
-    out = []
-    for m in k_subset_masks(n, k):
-        if all((m & pref).bit_count() >= i for i, pref in enumerate(prefixes, start=1)):
-            out.append(m)
-    return frozenset(out)
+    return flag_fixed_points(prefixes, k, n)
 
 
 def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
@@ -209,12 +244,13 @@ def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
     """
     lam = check_box(lam, k, n)
     check_rank(k, n)
+    return _fp_schubert_bminus(lam, k, n)
+
+
+@lru_cache(maxsize=FP_CACHE_SIZE)
+def _fp_schubert_bminus(lam: Partition, k: int, n: int) -> frozenset[int]:
     suffixes = [interval_mask(n - (n - k + i - part(lam, i)) + 1, n) for i in range(1, k + 1)]
-    out = []
-    for m in k_subset_masks(n, k):
-        if all((m & suf).bit_count() >= i for i, suf in enumerate(suffixes, start=1)):
-            out.append(m)
-    return frozenset(out)
+    return flag_fixed_points(suffixes, k, n)
 
 
 def translate_mask(g: Sequence[int], mask: int) -> int:

@@ -11,26 +11,34 @@ both input varieties through their own fixed points.
 set that the single-term quantum product predicts, and cross-checks the
 explicit flag chain carving out the neighborhood as one Schubert
 variety.
+
+Subsets of a mask are enumerated as sums of its single-bit values.  The
+projection of the rectangle side depends only on (beta, k, n, d) and is
+cached; the opposite side changes with every case, so caching it would
+only hold memory.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Literal, Optional, Sequence
 
 from .grassmann import (
     Partition,
+    bit_values,
     check_box,
     check_rank,
     conjugate,
     dual_mask,
+    flag_fixed_points,
     fp_schubert_b,
     fp_schubert_bminus,
     interval_mask,
-    k_subset_masks,
     mask_of,
     normalize_partition,
     part,
@@ -78,18 +86,25 @@ def fp_projected_schubert(
     check_rank(k, n)
     _check_degree(d, k, n)
     if side == "B":
-        fps = fp_schubert_b(lam, k, n)
-    elif side == "Bminus":
-        fps = fp_schubert_bminus(lam, k, n)
-    else:
-        raise ValueError(f"side must be 'B' or 'Bminus': {side!r}")
+        return _projected_b(check_box(lam, k, n), d, k, n)
+    if side == "Bminus":
+        return _project(fp_schubert_bminus(lam, k, n), d, n)
+    raise ValueError(f"side must be 'B' or 'Bminus': {side!r}")
+
+
+# An exhaustive sweep needs one projection per degree of its (n, k, i) block.
+@lru_cache(maxsize=16)
+def _projected_b(lam: Partition, d: int, k: int, n: int) -> frozenset[tuple[int, int]]:
+    return _project(fp_schubert_b(lam, k, n), d, n)
+
+
+def _project(fps: Iterable[int], d: int, n: int) -> frozenset[tuple[int, int]]:
+    full = (1 << n) - 1
     pairs: set[tuple[int, int]] = set()
     for c in fps:
-        inner = subset_of(c)
-        outer = [s for s in range(1, n + 1) if not (c >> (s - 1)) & 1]
-        amasks = [mask_of(x) for x in itertools.combinations(inner, k - d)]
-        bmasks = [c | mask_of(x) for x in itertools.combinations(outer, d)]
-        pairs.update((a, b) for a in amasks for b in bmasks)
+        amasks = [c ^ sum(x) for x in itertools.combinations(bit_values(c), d)]
+        bmasks = [c | sum(x) for x in itertools.combinations(bit_values(full ^ c), d)]
+        pairs.update(itertools.product(amasks, bmasks))
     return frozenset(pairs)
 
 
@@ -115,9 +130,7 @@ def gamma_fp(
     """
     out: set[int] = set()
     for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
-        free = subset_of(b & ~a)
-        for extra in itertools.combinations(free, d):
-            out.add(a | mask_of(extra))
+        out.update(a | sum(x) for x in itertools.combinations(bit_values(b ^ a), d))
     return frozenset(out)
 
 
@@ -171,12 +184,7 @@ def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> GFlag
 
 def chain_fixed_points(chain: GFlagChain, k: int, n: int) -> frozenset[int]:
     """Fixed points of the Schubert variety the chain defines."""
-    out = [
-        m
-        for m in k_subset_masks(n, k)
-        if all((m & g).bit_count() >= i for i, g in enumerate(chain.subsets, start=1))
-    ]
-    return frozenset(out)
+    return flag_fixed_points(chain.subsets, k, n)
 
 
 def v_from_gflags(chain: GFlagChain, k: int, n: int) -> Partition:
@@ -190,7 +198,11 @@ def v_from_gflags(chain: GFlagChain, k: int, n: int) -> Partition:
 
 @dataclass
 class CaseReport:
-    """Verdict for one (n, k, i, u) case of the neighborhood theorem."""
+    """Verdict for one (n, k, i, u) case of the neighborhood theorem.
+
+    The two fixed-point sets are kept as masks; ``gamma`` and ``target``
+    list them as sorted subsets, which only a failing record needs.
+    """
 
     n: int
     k: int
@@ -200,8 +212,8 @@ class CaseReport:
     dualized: bool
     d: int
     checks: dict[str, bool]
-    gamma: tuple[tuple[int, ...], ...]
-    target: tuple[tuple[int, ...], ...]
+    gamma_masks: frozenset[int]
+    target_masks: frozenset[int]
     target_partition: Partition
     v_partition: Optional[Partition]
     length_v: Optional[int]
@@ -211,6 +223,14 @@ class CaseReport:
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
+
+    @property
+    def gamma(self) -> tuple[tuple[int, ...], ...]:
+        return _sorted_subsets(self.gamma_masks)
+
+    @property
+    def target(self) -> tuple[tuple[int, ...], ...]:
+        return _sorted_subsets(self.target_masks)
 
     def record(self) -> dict:
         rec = {
@@ -325,6 +345,8 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
             )
 
     checks["fp_equality"] = gamma == target
+    if checks["fp_equality"]:
+        gamma = target  # equal sets: the report keeps one of them
     return CaseReport(
         n=n,
         k=k,
@@ -334,8 +356,8 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         dualized=dualized,
         d=d,
         checks=checks,
-        gamma=_sorted_subsets(gamma),
-        target=_sorted_subsets(target),
+        gamma_masks=gamma,
+        target_masks=target,
         target_partition=target_partition,
         v_partition=v_partition,
         length_v=length_v,
@@ -359,6 +381,13 @@ def sweep_cases(n_max: int) -> list[tuple[int, int, int, Perm]]:
 
 def _verify_tuple(case: tuple[int, int, int, Perm]) -> CaseReport:
     return verify_case(*case)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform reports an affinity mask
+        return os.cpu_count() or 1
 
 
 DEFAULT_SEED = 0
@@ -409,9 +438,14 @@ def sweep(
 ) -> SweepReport:
     """Verify every case up to n_max, or a seeded sample of them.
 
-    ``jobs`` > 1 fans cases over a process pool; results keep the
-    canonical order either way, so emitted reports are byte-stable.
+    ``jobs`` > 1 fans cases over a process pool of at most one worker
+    per usable CPU; results keep the canonical order either way, so
+    emitted reports are byte-stable.
     """
+    if jobs is not None:
+        if jobs < 1:
+            raise ValueError(f"need jobs >= 1, got {jobs}")
+        jobs = min(jobs, _usable_cpus())
     cases = sweep_cases(n_max)
     if mode == "sampled":
         if sample_size is None:

@@ -174,6 +174,23 @@ def classical_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> 
     return QClass(k=k, n=n, terms=dict(sorted(terms.items())))
 
 
+class DegreeMismatchError(ArithmeticError):
+    """A rim-hook reduction broke the grading |shape| + d*n = |nu|.
+
+    This is an internal fault, not bad input, so it is not a ValueError.
+    """
+
+    def __init__(self, nu: Partition, shape: Partition, d: int, total: int, n: int) -> None:
+        super().__init__(
+            f"reducing {nu} gave shape {shape} with q-degree {d}: "
+            f"{size(shape)} + {d}*{n} != {total}"
+        )
+        self.nu = nu
+        self.shape = shape
+        self.d = d
+        self.total = total
+
+
 def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QClass:
     """Quantum product of two Schubert classes.
 
@@ -196,7 +213,8 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QC
         if red is None:
             continue
         shape, d, sign = red
-        assert size(shape) + d * n == total
+        if size(shape) + d * n != total:
+            raise DegreeMismatchError(nu, shape, d, total, n)
         key = (shape, d)
         terms[key] = terms.get(key, 0) + sign * c
     terms = {key: coeff for key, coeff in sorted(terms.items()) if coeff}

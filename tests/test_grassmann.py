@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qseidel.grassmann import (
+    bit_values,
     box_complement,
     box_partitions,
     check_box,
@@ -124,12 +125,31 @@ class TestMasks:
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
 
+    def test_k_subsets_table_cannot_be_changed_by_callers(self):
+        copy = list(k_subset_masks(4, 2))
+        copy.reverse()
+        copy.append(0)
+        assert [subset_of(m) for m in k_subset_masks(4, 2)] == [
+            (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+        ]
+
+    def test_bit_values(self):
+        assert bit_values(0) == ()
+        assert bit_values(mask_of({1, 3, 4})) == (1, 4, 8)
+        assert sum(bit_values(mask_of({2, 5}))) == mask_of({2, 5})
+
     def test_rank_cap(self):
         with pytest.raises(ValueError):
             fp_schubert_b((), 2, 17)
 
 
 class TestFixedPoints:
+    def test_cached_sets_are_keyed_on_the_normalized_partition(self):
+        assert fp_schubert_b([1, 0], 2, 4) is fp_schubert_b((1,), 2, 4)
+        assert fp_schubert_bminus([2, 1, 0], 2, 4) is fp_schubert_bminus((2, 1), 2, 4)
+        with pytest.raises(ValueError):
+            fp_schubert_b([1, 0, 1], 2, 4)
+
     def test_b_side_examples(self):
         assert fp_schubert_b((), 2, 4) == frozenset({mask_of({1, 2})})
         got = sorted(subset_of(m) for m in fp_schubert_b((1,), 2, 4))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers_oracles import oracle_gamma
+from qseidel import grassmann, neighborhoods
 from qseidel.grassmann import (
     box_partitions,
     fp_schubert_b,
@@ -126,12 +127,22 @@ class TestGamma:
                             prev = cur
 
     def test_matches_triple_scan_oracle_exhaustive(self):
-        for n in range(2, 5):
+        # each set is first computed here on a cold cache, then served warm
+        for cached in (
+            grassmann.k_subset_masks,
+            grassmann.bit_values,
+            grassmann._fp_schubert_b,
+            grassmann._fp_schubert_bminus,
+            neighborhoods._projected_b,
+        ):
+            cached.cache_clear()
+        for n in range(2, 7):
             for k in range(1, n):
                 parts = box_partitions(k, n)
                 for lb in parts:
                     for lbm in parts:
                         for d in range(min(k, n - k) + 1):
+                            cold = gamma_fp(lb, lbm, d, k, n)
                             expect = oracle_gamma(
                                 fp_schubert_b(lb, k, n),
                                 fp_schubert_bminus(lbm, k, n),
@@ -139,6 +150,7 @@ class TestGamma:
                                 k,
                                 n,
                             )
+                            assert cold == expect
                             assert gamma_fp(lb, lbm, d, k, n) == expect
 
     def test_matches_oracle_sampled_n5(self):
@@ -243,8 +255,8 @@ class TestVerifyCase:
             dualized=rep.dualized,
             d=rep.d,
             checks={**rep.checks, "fp_equality": False},
-            gamma=rep.gamma,
-            target=rep.target[:3],
+            gamma_masks=rep.gamma_masks,
+            target_masks=frozenset(mask_of(s) for s in rep.target[:3]),
             target_partition=rep.target_partition,
             v_partition=rep.v_partition,
             length_v=rep.length_v,
@@ -263,6 +275,29 @@ class TestVerifyCase:
             rep = verify_case(n, k, i, u)
             expect = len(fp_schubert_bminus(rep.target_partition, k, n))
             assert len(rep.gamma) == expect
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process stand-in; returns the
+    worker count each pool was asked for."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(neighborhoods, "Pool", FakePool)
+    return sizes
 
 
 class TestSweep:
@@ -316,3 +351,19 @@ class TestSweep:
         serial = sweep(3, jobs=1).record()
         parallel = sweep(3, jobs=2).record()
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_worker_count_below_one(self, pool_sizes, jobs):
+        with pytest.raises(ValueError):
+            sweep(3, jobs=jobs)
+        assert pool_sizes == []
+
+    def test_worker_count_capped_at_usable_cpus(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(neighborhoods, "_usable_cpus", lambda: 3)
+        assert sweep(3, jobs=10**6).record() == sweep(3).record()
+        assert pool_sizes == [3]
+
+    def test_single_usable_cpu_runs_serial(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(neighborhoods, "_usable_cpus", lambda: 1)
+        assert sweep(3, jobs=4).total == 22
+        assert pool_sizes == []

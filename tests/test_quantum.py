@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers_oracles import oracle_pieri_coeff, oracle_reduce
+from qseidel import quantum
 from qseidel.grassmann import (
     box_complement,
     box_partitions,
@@ -16,6 +17,7 @@ from qseidel.grassmann import (
 )
 from qseidel.perms import min_coset_rep, parabolic_quotient, seidel_element
 from qseidel.quantum import (
+    DegreeMismatchError,
     QClass,
     classical_product,
     lr_coeff,
@@ -134,6 +136,20 @@ class TestProducts:
             ((1,), 1): 1,
             ((3, 3), 0): 1,
         }
+
+    def test_inconsistent_reduction_degree_raises(self, monkeypatch):
+        # (1) * (1) in Gr(2, 4) reduces (2) and (1, 1), both of size 2;
+        # a reduction claiming one extra q breaks the grading
+        reduce = quantum.rim_hook_reduce
+        monkeypatch.setattr(
+            quantum, "rim_hook_reduce", lambda nu, k, n: (reduce(nu, k, n)[0], 1, 1)
+        )
+        with pytest.raises(DegreeMismatchError) as err:
+            quantum_product((1,), (1,), 2, 4)
+        assert not isinstance(err.value, ValueError)
+        assert err.value.shape in {(2,), (1, 1)}
+        assert (err.value.d, err.value.total) == (1, 2)
+        assert str(err.value.shape) in str(err.value)
 
     @pytest.mark.parametrize("k,n", RANKS)
     def test_degree_zero_part_is_classical(self, k, n):
