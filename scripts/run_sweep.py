@@ -14,9 +14,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -24,17 +22,7 @@ from qseidel.cli import dumps_json
 from qseidel.neighborhoods import sweep
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n_max: int = 8
-    mode: str = "exhaustive"
-    sample_size: Optional[int] = None
-    seed: Optional[int] = None
-    jobs: Optional[int] = None
-    out: Optional[str] = None
-
-
-def parse_config(argv=None) -> SweepConfig:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-max", type=int, default=8)
     parser.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
@@ -43,26 +31,17 @@ def parse_config(argv=None) -> SweepConfig:
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--out", type=str, default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
-    return SweepConfig(
-        n_max=args.n_max,
-        mode=args.mode,
-        sample_size=args.sample_size,
-        seed=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-    )
-
-
-def main(argv=None) -> int:
-    cfg = parse_config(argv)
     start = time.perf_counter()
-    report = sweep(
-        cfg.n_max,
-        mode=cfg.mode,
-        sample_size=cfg.sample_size,
-        seed=cfg.seed,
-        jobs=cfg.jobs,
-    )
+    try:
+        report = sweep(
+            args.n_max,
+            mode=args.mode,
+            sample_size=args.sample_size,
+            seed=args.seed,
+            jobs=args.jobs,
+        )
+    except ValueError as err:
+        parser.error(str(err))
     elapsed = time.perf_counter() - start
 
     per_rank = Counter((c.n, c.k) for c in report.cases)
@@ -80,9 +59,9 @@ def main(argv=None) -> int:
     for case in report.failures[:10]:
         print(json.dumps(case.record()))
 
-    if cfg.out:
-        Path(cfg.out).write_text(dumps_json(report.record()))
-        print(f"report written to {cfg.out}")
+    if args.out:
+        Path(args.out).write_text(dumps_json(report.record()))
+        print(f"report written to {args.out}")
     return 0 if report.all_passed else 1
 
 

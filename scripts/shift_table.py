@@ -11,7 +11,6 @@ every row is the point.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -20,30 +19,19 @@ from qseidel.grassmann import box_partitions, fmt_partition, partition_to_perm
 from qseidel.quantum import seidel_product_check
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    n: int
-    k: int
-
-
-def parse_config(argv=None) -> TableConfig:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--k", type=int, required=True)
     args = parser.parse_args(argv)
-    return TableConfig(n=args.n, k=args.k)
-
-
-def main(argv=None) -> int:
-    cfg = parse_config(argv)
-    parts = box_partitions(cfg.k, cfg.n)
+    parts = box_partitions(args.k, args.n)
     width = max(len(fmt_partition(p)) for p in parts) + 2
     clean = True
-    for i in range(cfg.n):
+    for i in range(args.n):
         print(f"shift by index {i}:")
         for lam in parts:
-            u = partition_to_perm(lam, cfg.k, cfg.n)
-            chk = seidel_product_check(u, i, cfg.k, cfg.n)
+            u = partition_to_perm(lam, args.k, args.n)
+            chk = seidel_product_check(u, i, args.k, args.n)
             clean = clean and chk.passed
             frame = "dual" if chk.dualized else "direct"
             print(

@@ -14,38 +14,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import grassmann, neighborhoods, perms, quantum
 
 FORMATS = ("text", "json", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; unused fields stay None."""
-
-    command: str
-    fmt: str = "text"
-    n: Optional[int] = None
-    k: Optional[int] = None
-    root: Optional[int] = None
-    u: Optional[str] = None
-    w: Optional[str] = None
-    lam: Optional[str] = None
-    mu: Optional[str] = None
-    lhs: Optional[str] = None
-    rhs: Optional[str] = None
-    lam_b: Optional[str] = None
-    d: Optional[int] = None
-    roots_y: Optional[str] = None
-    roots_z: Optional[str] = None
-    n_max: Optional[int] = None
-    mode: str = "exhaustive"
-    sample_size: Optional[int] = None
-    seed: Optional[int] = None
-    jobs: Optional[int] = None
 
 
 def dumps_json(obj) -> str:
@@ -181,72 +154,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "command": args.command,
-        "fmt": getattr(args, "format", "text"),
-        "n": getattr(args, "n", None),
-        "k": getattr(args, "k", None),
-        "root": getattr(args, "root", None),
-        "u": getattr(args, "u", None),
-        "w": getattr(args, "w", None),
-        "lam": getattr(args, "lam", None),
-        "mu": getattr(args, "mu", None),
-        "lhs": getattr(args, "lhs", None),
-        "rhs": getattr(args, "rhs", None),
-        "lam_b": getattr(args, "lam_b", None),
-        "d": getattr(args, "d", None),
-        "roots_y": getattr(args, "roots_y", None),
-        "roots_z": getattr(args, "roots_z", None),
-        "n_max": getattr(args, "n_max", None),
-        "mode": getattr(args, "mode", "exhaustive"),
-        "sample_size": getattr(args, "sample_size", None),
-        "seed": getattr(args, "seed", None),
-        "jobs": getattr(args, "jobs", None),
-    }
-    return RunConfig(**fields)
-
-
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    single = cfg.n is not None or cfg.k is not None or cfg.root is not None or cfg.u is not None
-    if cfg.n_max is not None and single:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    single = args.n is not None or args.k is not None or args.root is not None or args.u is not None
+    if args.n_max is not None and single:
         raise ValueError("give either --n-max or a single case (--n --k --root --u), not both")
-    if cfg.n_max is None and not single:
+    if args.n_max is None and not single:
         raise ValueError("give --n-max for a sweep or --n --k --root --u for one case")
-    if cfg.n_max is not None:
+    if args.n_max is not None:
         rep = neighborhoods.sweep(
-            cfg.n_max,
-            mode=cfg.mode,
-            sample_size=cfg.sample_size,
-            seed=cfg.seed,
-            jobs=cfg.jobs,
+            args.n_max,
+            mode=args.mode,
+            sample_size=args.sample_size,
+            seed=args.seed,
+            jobs=args.jobs,
         )
         code = 0 if rep.all_passed else 1
-        if cfg.fmt == "json":
+        if args.format == "json":
             return dumps_json(rep.record()), code
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             return render_cases_csv([c.record() for c in rep.cases]), code
         return render_sweep_text(rep), code
-    if cfg.n is None or cfg.k is None or cfg.root is None or cfg.u is None:
+    if args.n is None or args.k is None or args.root is None or args.u is None:
         raise ValueError("a single case needs all of --n --k --root --u")
-    report = neighborhoods.verify_case(cfg.n, cfg.k, cfg.root, perms.parse_perm(cfg.u))
+    sweep_only = (args.sample_size, args.seed, args.jobs)
+    if args.mode == "sampled" or any(opt is not None for opt in sweep_only):
+        raise ValueError("--mode sampled, --sample-size, --seed and --jobs apply only to --n-max")
+    report = neighborhoods.verify_case(args.n, args.k, args.root, perms.parse_perm(args.u))
     code = 0 if report.passed else 1
     rec = report.record()
-    if cfg.fmt == "json":
+    if args.format == "json":
         return dumps_json(rec), code
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return render_cases_csv([rec]), code
     return render_case_text(rec), code
 
 
-def cmd_product(cfg: RunConfig) -> tuple[str, int]:
-    lhs = grassmann.parse_partition(cfg.lhs)
-    rhs = grassmann.parse_partition(cfg.rhs)
-    prod = quantum.quantum_product(lhs, rhs, cfg.k, cfg.n)
-    if cfg.fmt == "json":
+def cmd_product(args: argparse.Namespace) -> tuple[str, int]:
+    lhs = grassmann.parse_partition(args.lhs)
+    rhs = grassmann.parse_partition(args.rhs)
+    prod = quantum.quantum_product(lhs, rhs, args.k, args.n)
+    if args.format == "json":
         obj = {
-            "n": cfg.n,
-            "k": cfg.k,
+            "n": args.n,
+            "k": args.k,
             "lhs": grassmann.fmt_partition(lhs),
             "rhs": grassmann.fmt_partition(rhs),
             "terms": quantum.qclass_records(prod),
@@ -255,44 +205,33 @@ def cmd_product(cfg: RunConfig) -> tuple[str, int]:
     return render_qclass_text(prod), 0
 
 
-def cmd_degree(cfg: RunConfig) -> tuple[str, int]:
-    lam = grassmann.check_box(grassmann.parse_partition(cfg.lam), cfg.k, cfg.n)
-    root = cfg.root
-    if not 0 <= root <= cfg.n - 1:
-        raise ValueError(f"need 0 <= root <= n-1, got {root}")
-    if root == 0:
-        d, beta, dualized = 0, None, False
-    elif root >= cfg.k:
-        beta, dualized = root, False
-        d = quantum.seidel_degree(lam, beta, cfg.k, cfg.n)
-    else:
-        lam_dual, k_dual = grassmann.dual_case(lam, cfg.k, cfg.n)
-        beta, dualized = cfg.n - root, True
-        d = quantum.seidel_degree(lam_dual, beta, k_dual, cfg.n)
-    if cfg.fmt == "json":
+def cmd_degree(args: argparse.Namespace) -> tuple[str, int]:
+    lam = grassmann.parse_partition(args.lam)
+    frame = quantum.resolve_frame(lam, args.root, args.k, args.n)
+    if args.format == "json":
         obj = {
-            "n": cfg.n,
-            "k": cfg.k,
-            "root": root,
+            "n": args.n,
+            "k": args.k,
+            "root": args.root,
             "lambda": grassmann.fmt_partition(lam),
-            "beta": beta,
-            "dualized": dualized,
-            "d": d,
+            "beta": frame.beta,
+            "dualized": frame.dualized,
+            "d": frame.d,
         }
         return dumps_json(obj), 0
-    return f"{d}\n", 0
+    return f"{frame.d}\n", 0
 
 
-def cmd_neighborhood(cfg: RunConfig) -> tuple[str, int]:
-    lam_b = grassmann.parse_partition(cfg.lam_b)
-    mu = grassmann.parse_partition(cfg.mu)
-    gamma = neighborhoods.gamma_fp(lam_b, mu, cfg.d, cfg.k, cfg.n)
+def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
+    lam_b = grassmann.parse_partition(args.lam_b)
+    mu = grassmann.parse_partition(args.mu)
+    gamma = neighborhoods.gamma_fp(lam_b, mu, args.d, args.k, args.n)
     subsets = sorted(grassmann.subset_of(m) for m in gamma)
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {
-            "n": cfg.n,
-            "k": cfg.k,
-            "d": cfg.d,
+            "n": args.n,
+            "k": args.k,
+            "d": args.d,
             "lambda_b": grassmann.fmt_partition(lam_b),
             "mu": grassmann.fmt_partition(mu),
             "gamma": [",".join(map(str, s)) for s in subsets],
@@ -301,19 +240,19 @@ def cmd_neighborhood(cfg: RunConfig) -> tuple[str, int]:
     return "".join(",".join(map(str, s)) + "\n" for s in subsets), 0
 
 
-def cmd_join(cfg: RunConfig) -> tuple[str, int]:
-    w = perms.parse_perm(cfg.w)
-    if len(w) != cfg.n:
-        raise ValueError(f"rank mismatch: {len(w)} vs n={cfg.n}")
-    ry = perms.parse_roots(cfg.roots_y, cfg.n)
-    rz = perms.parse_roots(cfg.roots_z, cfg.n)
+def cmd_join(args: argparse.Namespace) -> tuple[str, int]:
+    w = perms.parse_perm(args.w)
+    if len(w) != args.n:
+        raise ValueError(f"rank mismatch: {len(w)} vs n={args.n}")
+    ry = perms.parse_roots(args.roots_y, args.n)
+    rz = perms.parse_roots(args.roots_z, args.n)
     rx = ry & rz
     uy = perms.min_coset_rep(w, ry)
     uz = perms.min_coset_rep(w, rz)
     result = perms.join(uy, uz, rx)
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {
-            "n": cfg.n,
+            "n": args.n,
             "w": perms.fmt_perm(w),
             "roots_y": perms.fmt_roots(ry),
             "roots_z": perms.fmt_roots(rz),
@@ -338,9 +277,8 @@ HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        text, code = HANDLERS[cfg.command](cfg)
+        text, code = HANDLERS[args.command](args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -31,32 +31,21 @@ from typing import Iterable, Literal, Optional, Sequence
 from .grassmann import (
     Partition,
     bit_values,
+    box_complement,
     check_box,
     check_rank,
-    conjugate,
     dual_mask,
     flag_fixed_points,
     fp_schubert_b,
     fp_schubert_bminus,
     interval_mask,
     mask_of,
-    normalize_partition,
     part,
-    perm_to_partition,
     size,
     subset_of,
     translate_fp,
 )
-from .perms import (
-    Perm,
-    check_perm,
-    compose,
-    fmt_perm,
-    inverse,
-    min_coset_rep,
-    parabolic_quotient,
-    seidel_element,
-)
+from .perms import Perm, fmt_perm, inverse, parabolic_quotient, seidel_element
 from .quantum import qclass_records, seidel_degree, seidel_product_check
 
 Side = Literal["B", "Bminus"]
@@ -245,13 +234,11 @@ class CaseReport:
             "checks": dict(self.checks),
         }
         if not self.passed:
-            gamma = set(self.gamma)
-            target = set(self.target)
             rec["counterexample_detail"] = {
-                "gamma": [",".join(map(str, s)) for s in sorted(gamma)],
-                "target": [",".join(map(str, s)) for s in sorted(target)],
-                "gamma_minus_target": [",".join(map(str, s)) for s in sorted(gamma - target)],
-                "target_minus_gamma": [",".join(map(str, s)) for s in sorted(target - gamma)],
+                "gamma": _fmt_subsets(self.gamma_masks),
+                "target": _fmt_subsets(self.target_masks),
+                "gamma_minus_target": _fmt_subsets(self.gamma_masks - self.target_masks),
+                "target_minus_gamma": _fmt_subsets(self.target_masks - self.gamma_masks),
                 "target_partition": ",".join(map(str, self.target_partition)),
                 "v_partition": None
                 if self.v_partition is None
@@ -267,82 +254,48 @@ def _sorted_subsets(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(subset_of(m) for m in masks))
 
 
+def _fmt_subsets(masks: Iterable[int]) -> list[str]:
+    return [",".join(map(str, s)) for s in _sorted_subsets(masks)]
+
+
 def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
     """Run every check of the neighborhood theorem on one case.
 
-    i = 0 degenerates to the zero-degree neighborhood being X^u itself;
-    cases with 0 < i < k run the degree and chain machinery in the dual
-    Grassmannian and map the fixed points back.
+    The neighborhood, the degree and the flag chain are computed in the
+    frame of the product check (the dual Grassmannian for 0 < i < k) and
+    the fixed points are mapped back; i = 0 degenerates to the
+    zero-degree neighborhood being X^u itself, and has no chain.
     """
-    check_rank(k, n)
-    u = check_perm(u)
-    if len(u) != n:
-        raise ValueError(f"rank mismatch: {len(u)} vs n={n}")
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"need 0 <= i <= n-1, got i={i}")
-    xroots = frozenset(range(1, n)) - {k}
-    w = seidel_element(n, i)
-    lam = perm_to_partition(min_coset_rep(u, xroots), k, n)
-    target_partition = perm_to_partition(min_coset_rep(compose(w, u), xroots), k, n)
-    target = translate_fp(inverse(w), fp_schubert_bminus(target_partition, k, n))
-
     pcheck = seidel_product_check(u, i, k, n)
-    d = pcheck.d
+    frame, d, target_partition = pcheck.frame, pcheck.d, pcheck.target
+    target = translate_fp(inverse(seidel_element(n, i)), fp_schubert_bminus(target_partition, k, n))
     checks = dict.fromkeys(CHECK_NAMES, True)
     checks["product_single_term"] = pcheck.passed
     v_partition: Optional[Partition] = None
     length_v: Optional[int] = None
 
-    if i == 0:
-        beta = None
-        dualized = False
-        gamma = gamma_fp(((n - k),) * k, lam, 0, k, n)
-    elif i >= k:
-        beta = i
-        dualized = False
-        lam_b = normalize_partition(((beta - k),) * k)
-        gamma = gamma_fp(lam_b, lam, d, k, n)
+    # the rotated bottom variety, indexed by dimension: the rectangle's complement
+    lam_b = box_complement(frame.rectangle(n), frame.k, n)
+    gamma = gamma_fp(lam_b, frame.lam, d, frame.k, n)
+    if frame.beta is not None:
+        target_frame = frame.to_frame(target_partition)
         try:
-            chain = g_flag_chain(lam, beta, d, k, n)
-            checks["g_chain_containment"] = gamma <= chain_fixed_points(chain, k, n)
-            v_partition = v_from_gflags(chain, k, n)
+            chain = g_flag_chain(frame.lam, frame.beta, d, frame.k, n)
+            checks["g_chain_containment"] = gamma <= chain_fixed_points(chain, frame.k, n)
+            v_partition = v_from_gflags(chain, frame.k, n)
         except ValueError:
             checks["g_chain_containment"] = False
             checks["v_match"] = False
             checks["length_identity"] = False
         if v_partition is not None:
             length_v = size(v_partition)
-            checks["v_match"] = v_partition == target_partition
+            checks["v_match"] = v_partition == target_frame
             checks["length_identity"] = (
-                length_v == n * (k - d) - beta * k + size(lam)
-                and length_v == size(target_partition)
+                length_v == n * (frame.k - d) - frame.beta * frame.k + size(frame.lam)
+                and length_v == size(target_frame)
             )
-    else:
-        # dual frame: k' = n-k and beta' = n-i >= k', so the degree and
-        # chain formulas apply there; fixed points map back by dual_mask
-        beta = n - i
-        dualized = True
-        k_dual = n - k
-        lam_dual = conjugate(lam)
-        target_dual = conjugate(target_partition)
-        lam_b = normalize_partition(((beta - k_dual),) * k_dual)
-        gamma_dual = gamma_fp(lam_b, lam_dual, d, k_dual, n)
-        gamma = frozenset(dual_mask(m, n) for m in gamma_dual)
-        try:
-            chain = g_flag_chain(lam_dual, beta, d, k_dual, n)
-            checks["g_chain_containment"] = gamma_dual <= chain_fixed_points(chain, k_dual, n)
-            v_partition = v_from_gflags(chain, k_dual, n)
-        except ValueError:
-            checks["g_chain_containment"] = False
-            checks["v_match"] = False
-            checks["length_identity"] = False
-        if v_partition is not None:
-            length_v = size(v_partition)
-            checks["v_match"] = v_partition == target_dual
-            checks["length_identity"] = (
-                length_v == n * (k_dual - d) - beta * k_dual + size(lam_dual)
-                and length_v == size(target_dual)
-            )
+    if frame.dualized:
+        gamma = frozenset(dual_mask(m, n) for m in gamma)
 
     checks["fp_equality"] = gamma == target
     if checks["fp_equality"]:
@@ -352,8 +305,8 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         k=k,
         i=i,
         u=u,
-        beta=beta,
-        dualized=dualized,
+        beta=frame.beta,
+        dualized=frame.dualized,
         d=d,
         checks=checks,
         gamma_masks=gamma,
@@ -446,13 +399,20 @@ def sweep(
         if jobs < 1:
             raise ValueError(f"need jobs >= 1, got {jobs}")
         jobs = min(jobs, _usable_cpus())
-    cases = sweep_cases(n_max)
     if mode == "sampled":
         if sample_size is None:
             raise ValueError("sampled mode needs sample_size")
-        rng = random.Random(DEFAULT_SEED if seed is None else seed)
-        cases = sorted(rng.sample(cases, min(sample_size, len(cases))))
-    elif mode != "exhaustive":
+        if sample_size < 1:
+            raise ValueError(f"need sample_size >= 1, got {sample_size}")
+        if seed is None:
+            seed = DEFAULT_SEED
+        cases = sweep_cases(n_max)
+        cases = sorted(random.Random(seed).sample(cases, min(sample_size, len(cases))))
+    elif mode == "exhaustive":
+        if sample_size is not None or seed is not None:
+            raise ValueError("sample_size and seed apply only to sampled mode")
+        cases = sweep_cases(n_max)
+    else:
         raise ValueError(f"mode must be 'exhaustive' or 'sampled': {mode!r}")
     if jobs is not None and jobs > 1 and len(cases) > 1:
         chunk = max(1, len(cases) // (jobs * 8))
@@ -463,7 +423,7 @@ def sweep(
     return SweepReport(
         n_max=n_max,
         mode=mode,
-        sample_size=sample_size if mode == "sampled" else None,
-        seed=(DEFAULT_SEED if seed is None else seed) if mode == "sampled" else None,
+        sample_size=sample_size,
+        seed=seed,
         cases=reports,
     )

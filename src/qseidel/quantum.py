@@ -28,7 +28,7 @@ from .grassmann import (
     perm_to_partition,
     size,
 )
-from .perms import Perm, check_perm, compose, min_coset_rep, seidel_element
+from .perms import check_perm, compose, min_coset_rep, seidel_element
 
 
 @dataclass
@@ -251,64 +251,97 @@ def seidel_class(beta: int, k: int, n: int) -> Partition:
 
 
 @dataclass(frozen=True)
+class Frame:
+    """The Grassmannian in which the shift by index i is computed.
+
+    The degree and chain formulas need beta >= k.  For i >= k the frame
+    is Gr(k, n) itself with beta = i; for 0 < i < k it is the dual
+    Gr(n-k, n) with beta = n - i, where partitions are conjugated; i = 0
+    is the identity shift, with no beta and degree 0.  ``lam`` is the
+    input class and ``d`` the shift degree, both in this frame.
+    """
+
+    k: int
+    lam: Partition
+    beta: Optional[int]
+    dualized: bool
+    d: int
+
+    def to_frame(self, lam: Partition) -> Partition:
+        """A partition of the original Grassmannian, read in this frame."""
+        return conjugate(lam) if self.dualized else lam
+
+    def rectangle(self, n: int) -> Partition:
+        """Codimension partition of the class that multiplies by the shift."""
+        return () if self.beta is None else seidel_class(self.beta, self.k, n)
+
+
+def resolve_frame(lam: Sequence[int], i: int, k: int, n: int) -> Frame:
+    """Choose the frame for shifting the class ``lam`` of Gr(k, n) by index i.
+
+    >>> resolve_frame((4, 3, 3, 2, 1), 4, 5, 9)
+    Frame(k=4, lam=(5, 4, 3, 1), beta=5, dualized=True, d=2)
+    """
+    check_rank(k, n)
+    lam = check_box(lam, k, n)
+    if not 0 <= i <= n - 1:
+        raise ValueError(f"need 0 <= i <= n-1, got i={i}")
+    if i == 0:
+        return Frame(k=k, lam=lam, beta=None, dualized=False, d=0)
+    if i >= k:
+        return Frame(k=k, lam=lam, beta=i, dualized=False, d=seidel_degree(lam, i, k, n))
+    lam_dual, k_dual = dual_case(lam, k, n)
+    d = seidel_degree(lam_dual, n - i, k_dual, n)
+    return Frame(k=k_dual, lam=lam_dual, beta=n - i, dualized=True, d=d)
+
+
+@dataclass(frozen=True)
 class SeidelCheck:
     """Outcome of the single-term product test for one (u, i) case.
 
     ``target`` is always reported in the original k-plane frame;
-    ``product`` lives in the dual frame when ``dualized`` is set.
+    ``product`` lives in ``frame``, the dual one when ``dualized`` is set.
     """
 
-    d: int
     target: Partition
     passed: bool
-    dualized: bool
-    beta: Optional[int]
     product: QClass
+    frame: Frame
+
+    @property
+    def d(self) -> int:
+        return self.frame.d
+
+    @property
+    def dualized(self) -> bool:
+        return self.frame.dualized
+
+    @property
+    def beta(self) -> Optional[int]:
+        return self.frame.beta
 
 
 def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelCheck:
     """Check that multiplying by the i-th cocharacter class shifts X^u to
     a single term q^d X^(wu), with d given by ``seidel_degree``.
 
-    Cases with 0 < i < k are routed through ``dual_case`` so that the
-    degree formula's hypothesis beta >= k holds; the verdict transfers
-    back unchanged.
+    The product is computed in the frame ``resolve_frame`` picks, where
+    the degree formula's hypothesis beta >= k holds; the verdict
+    transfers back unchanged.
     """
     check_rank(k, n)
     u = check_perm(u)
     if len(u) != n:
         raise ValueError(f"rank mismatch: {len(u)} vs n={n}")
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"need 0 <= i <= n-1, got i={i}")
     xroots = frozenset(range(1, n)) - {k}
-    w = seidel_element(n, i)
-    lam = perm_to_partition(min_coset_rep(u, xroots), k, n)
-    target = perm_to_partition(min_coset_rep(compose(w, u), xroots), k, n)
-    if i == 0:
-        prod = quantum_product((), lam, k, n)
-        d = 0
-        want = {(target, 0): 1}
-        dualized, beta = False, None
-    elif i >= k:
-        beta = i
-        d = seidel_degree(lam, beta, k, n)
-        prod = quantum_product(seidel_class(beta, k, n), lam, k, n)
-        want = {(target, d): 1}
-        dualized = False
-    else:
-        lam_dual, k_dual = dual_case(lam, k, n)
-        beta = n - i
-        d = seidel_degree(lam_dual, beta, k_dual, n)
-        prod = quantum_product(seidel_class(beta, k_dual, n), lam_dual, k_dual, n)
-        want = {(conjugate(target), d): 1}
-        dualized = True
+    frame = resolve_frame(perm_to_partition(min_coset_rep(u, xroots), k, n), i, k, n)
+    target = perm_to_partition(min_coset_rep(compose(seidel_element(n, i), u), xroots), k, n)
+    prod = quantum_product(frame.rectangle(n), frame.lam, frame.k, n)
     return SeidelCheck(
-        d=d,
         target=target,
-        passed=prod.terms == want,
-        dualized=dualized,
-        beta=beta,
+        passed=prod.terms == {(frame.to_frame(target), frame.d): 1},
         product=prod,
+        frame=frame,
     )
 
 

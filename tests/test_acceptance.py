@@ -5,11 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v``; every test prints
 bypassing capture, then asserts.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from qseidel.cli import render_cases_csv
 from qseidel.grassmann import (
     box_complement,
     box_partitions,
@@ -29,6 +31,9 @@ from qseidel.quantum import (
 )
 
 RANKS_6 = [(k, n) for n in range(2, 7) for k in range(1, n)]
+
+# sha256 of ``qseidel verify --n-max 8 --format csv``
+GOLDEN_CSV_N8 = "221bec92354c03345c50246336259400e5bd68243f37da0a9cc43847ca8d250f"
 
 
 def announce(capsys, ident: str, label: str, ok: bool) -> None:
@@ -75,6 +80,11 @@ def test_4_flag_chain_consistency(capsys, sweep8):
     ok = not bad
     announce(capsys, "4/8", "flag chains carve out the right variety", ok)
     assert ok, [c.record() for c in bad[:5]]
+
+
+def test_golden_csv_report(sweep8):
+    text = render_cases_csv([c.record() for c in sweep8.cases])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_N8
 
 
 def test_5_join_of_projections(capsys):

@@ -61,6 +61,16 @@ class TestDegree:
         )
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "n,k,root", [("4", "0", "0"), ("4", "7", "0"), ("40", "4", "5")]
+    )
+    def test_rank_rejected(self, capsys, n, k, root):
+        code, out, err = run(
+            ["degree", "--n", n, "--k", k, "--lambda", "", "--root", root],
+            capsys,
+        )
+        assert (code, out) == (2, "") and err.startswith("error:")
+
 
 class TestProduct:
     def test_text_single_term(self, capsys):
@@ -287,6 +297,35 @@ class TestVerify:
     def test_no_selection(self, capsys):
         code, _, err = run(["verify"], capsys)
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--mode", "sampled"],
+            ["--sample-size", "3"],
+            ["--seed", "1"],
+            ["--jobs", "2"],
+        ],
+    )
+    def test_sweep_options_on_single_case(self, capsys, extra):
+        code, out, err = run(
+            ["verify", "--n", "4", "--k", "2", "--root", "2", "--u", "1,3,2,4", *extra],
+            capsys,
+        )
+        assert (code, out) == (2, "") and "--n-max" in err
+
+    @pytest.mark.parametrize("extra", [["--seed", "1"], ["--sample-size", "3"]])
+    def test_sampling_options_in_exhaustive_mode(self, capsys, extra):
+        code, out, err = run(["verify", "--n-max", "3", *extra], capsys)
+        assert (code, out) == (2, "") and "sampled mode" in err
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_sample_size_below_one(self, capsys, size):
+        code, out, err = run(
+            ["verify", "--n-max", "3", "--mode", "sampled", "--sample-size", size],
+            capsys,
+        )
+        assert (code, out) == (2, "") and "sample_size >= 1" in err
 
     def test_malformed_permutation(self, capsys):
         code, _, err = run(

@@ -320,6 +320,16 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(3, mode="sampled")
 
+    @pytest.mark.parametrize("opts", [{"seed": 0}, {"sample_size": 5}])
+    def test_exhaustive_rejects_sampling_options(self, opts):
+        with pytest.raises(ValueError, match="only to sampled mode"):
+            sweep(3, **opts)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sampled_rejects_size_below_one(self, size):
+        with pytest.raises(ValueError, match="sample_size >= 1"):
+            sweep(3, mode="sampled", sample_size=size)
+
     def test_exhaustive_small(self):
         report = sweep(3)
         assert report.total == 22

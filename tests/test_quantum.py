@@ -18,12 +18,14 @@ from qseidel.grassmann import (
 from qseidel.perms import min_coset_rep, parabolic_quotient, seidel_element
 from qseidel.quantum import (
     DegreeMismatchError,
+    Frame,
     QClass,
     classical_product,
     lr_coeff,
     min_q_degree,
     partitions_bounded,
     quantum_product,
+    resolve_frame,
     rim_hook_reduce,
     seidel_class,
     seidel_degree,
@@ -244,6 +246,39 @@ class TestSeidelShift:
         assert seidel_class(3, 2, 4) == (1, 1)
         with pytest.raises(ValueError):
             seidel_class(1, 2, 4)
+
+    def test_frame_identity_route(self):
+        frame = resolve_frame((2, 1), 0, 2, 4)
+        assert frame == Frame(k=2, lam=(2, 1), beta=None, dualized=False, d=0)
+        assert frame.rectangle(4) == ()
+        assert frame.to_frame((1,)) == (1,)
+
+    def test_frame_direct_route(self):
+        frame = resolve_frame([5, 4, 3, 1, 0], 5, 4, 9)
+        assert frame == Frame(k=4, lam=(5, 4, 3, 1), beta=5, dualized=False, d=2)
+        assert frame.rectangle(9) == (4, 4, 4, 4)
+        assert frame.to_frame((2, 1, 1)) == (2, 1, 1)
+
+    def test_frame_dual_route(self):
+        frame = resolve_frame((4, 3, 3, 2, 1), 4, 5, 9)
+        assert frame == Frame(k=4, lam=(5, 4, 3, 1), beta=5, dualized=True, d=2)
+        assert frame.rectangle(9) == (4, 4, 4, 4)
+        assert frame.to_frame((2, 1, 1)) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "lam,i,k,n,message",
+        [
+            ((), 0, 0, 4, "1 <= k <= n-1"),
+            ((), 0, 4, 4, "1 <= k <= n-1"),
+            ((), 5, 4, 40, "rank cap"),
+            ((3,), 2, 2, 4, "does not fit"),
+            ((), -1, 2, 4, "0 <= i <= n-1"),
+            ((), 4, 2, 4, "0 <= i <= n-1"),
+        ],
+    )
+    def test_frame_rejects_bad_input(self, lam, i, k, n, message):
+        with pytest.raises(ValueError, match=message):
+            resolve_frame(lam, i, k, n)
 
     def test_check_identity_case(self):
         chk = seidel_product_check((2, 4, 1, 3), 0, 2, 4)
