@@ -24,7 +24,10 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--k", type=int, required=True)
     args = parser.parse_args(argv)
-    parts = box_partitions(args.k, args.n)
+    try:
+        parts = box_partitions(args.k, args.n)
+    except ValueError as err:
+        parser.error(str(err))
     width = max(len(fmt_partition(p)) for p in parts) + 2
     clean = True
     for i in range(args.n):

@@ -29,15 +29,14 @@ def fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def fmt_term(shape, q: int, coeff: int) -> str:
-    inner = ",".join(str(p) for p in shape)
-    return f"q^{q} * [({inner})] x{coeff}"
+def fmt_term(partition: str, q: int, coeff: int) -> str:
+    return f"q^{q} * [({partition})] x{coeff}"
 
 
 def render_qclass_text(c: quantum.QClass) -> str:
     if c.is_zero():
         return "0\n"
-    lines = [fmt_term(shape, q, coeff) for (shape, q), coeff in c.items_canonical()]
+    lines = [fmt_term(t["partition"], t["q"], t["coeff"]) for t in quantum.qclass_records(c)]
     return "\n".join(lines) + "\n"
 
 
@@ -58,8 +57,7 @@ def render_case_text(rec: dict) -> str:
             f"length_v={detail['length_v']} length_target={detail['length_target']}"
         )
         terms = "; ".join(
-            fmt_term(t["partition"].split(",") if t["partition"] else (), t["q"], t["coeff"])
-            for t in detail["product_terms"]
+            fmt_term(t["partition"], t["q"], t["coeff"]) for t in detail["product_terms"]
         )
         lines.append(f"  product: {terms if terms else '0'}")
     return "\n".join(lines) + "\n"
@@ -226,7 +224,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
     lam_b = grassmann.parse_partition(args.lam_b)
     mu = grassmann.parse_partition(args.mu)
     gamma = neighborhoods.gamma_fp(lam_b, mu, args.d, args.k, args.n)
-    subsets = sorted(grassmann.subset_of(m) for m in gamma)
+    subsets = grassmann.fmt_subsets(gamma)
     if args.format == "json":
         obj = {
             "n": args.n,
@@ -234,16 +232,14 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
             "d": args.d,
             "lambda_b": grassmann.fmt_partition(lam_b),
             "mu": grassmann.fmt_partition(mu),
-            "gamma": [",".join(map(str, s)) for s in subsets],
+            "gamma": subsets,
         }
         return dumps_json(obj), 0
-    return "".join(",".join(map(str, s)) + "\n" for s in subsets), 0
+    return "".join(s + "\n" for s in subsets), 0
 
 
 def cmd_join(args: argparse.Namespace) -> tuple[str, int]:
-    w = perms.parse_perm(args.w)
-    if len(w) != args.n:
-        raise ValueError(f"rank mismatch: {len(w)} vs n={args.n}")
+    w = perms.check_perm(perms.parse_perm(args.w), args.n)
     ry = perms.parse_roots(args.roots_y, args.n)
     rz = perms.parse_roots(args.roots_z, args.n)
     rx = ry & rz

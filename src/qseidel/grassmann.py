@@ -24,7 +24,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Perm, check_perm, is_min_coset_rep
+from .perms import Perm, check_perm, is_min_coset_rep, parse_ints
 
 Partition = tuple[int, ...]
 
@@ -60,7 +60,8 @@ def normalize_partition(parts: Iterable[int]) -> Partition:
 
 
 def check_box(lam: Iterable[int], k: int, n: int) -> Partition:
-    """Validate that ``lam`` fits in the k x (n-k) box and normalize it."""
+    """Validate the rank and that ``lam`` fits in the k x (n-k) box; normalize it."""
+    check_rank(k, n)
     p = normalize_partition(lam)
     if len(p) > k or (p and p[0] > n - k):
         raise ValueError(f"partition {p} does not fit in a {k}x{n - k} box")
@@ -105,19 +106,24 @@ def box_complement(lam: Sequence[int], k: int, n: int) -> Partition:
     return normalize_partition(n - k - part(lam, i) for i in range(k, 0, -1))
 
 
+def partitions_bounded(total: int, rows: int, width: int) -> Iterator[Partition]:
+    """Partitions of ``total`` with at most ``rows`` parts, each <= ``width``."""
+    if total == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    lo = -(-total // rows)  # smallest feasible first part
+    for first in range(min(total, width), lo - 1, -1):
+        for rest in partitions_bounded(total - first, rows - 1, first):
+            yield (first,) + rest
+
+
 def box_partitions(k: int, n: int) -> list[Partition]:
     """All partitions in the k x (n-k) box, sorted lexicographically."""
     check_rank(k, n)
-
-    def gen(rows: int, width: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        if rows == 0:
-            return
-        for first in range(1, width + 1):
-            for rest in gen(rows - 1, first):
-                yield (first,) + rest
-
-    return sorted(gen(k, n - k))
+    sizes = range(k * (n - k) + 1)
+    return sorted(lam for t in sizes for lam in partitions_bounded(t, k, n - k))
 
 
 def perm_to_partition(w: Sequence[int], k: int, n: int) -> Partition:
@@ -130,9 +136,7 @@ def perm_to_partition(w: Sequence[int], k: int, n: int) -> Partition:
     (2, 1)
     """
     check_rank(k, n)
-    w = check_perm(w)
-    if len(w) != n:
-        raise ValueError(f"rank mismatch: {len(w)} vs n={n}")
+    w = check_perm(w, n)
     grassmannian_roots = frozenset(range(1, n)) - {k}
     if not is_min_coset_rep(w, grassmannian_roots):
         raise ValueError(f"{w} is not minimal for the maximal parabolic at {k}")
@@ -163,14 +167,7 @@ def mask_of(elems: Iterable[int]) -> int:
 
 
 def subset_of(mask: int) -> tuple[int, ...]:
-    out = []
-    s = 1
-    while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
-    return tuple(out)
+    return tuple(b.bit_length() for b in bit_values(mask))
 
 
 def interval_mask(lo: int, hi: int) -> int:
@@ -223,7 +220,6 @@ def fp_schubert_b(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
     [(1, 2), (1, 3)]
     """
     lam = check_box(lam, k, n)
-    check_rank(k, n)
     return _fp_schubert_b(lam, k, n)
 
 
@@ -243,7 +239,6 @@ def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
     [(2,)]
     """
     lam = check_box(lam, k, n)
-    check_rank(k, n)
     return _fp_schubert_bminus(lam, k, n)
 
 
@@ -255,10 +250,7 @@ def _fp_schubert_bminus(lam: Partition, k: int, n: int) -> frozenset[int]:
 
 def translate_mask(g: Sequence[int], mask: int) -> int:
     """Image of a subset under the permutation g, elementwise."""
-    out = 0
-    for s in subset_of(mask):
-        out |= 1 << (g[s - 1] - 1)
-    return out
+    return sum(1 << (g[b.bit_length() - 1] - 1) for b in bit_values(mask))
 
 
 def translate_fp(g: Sequence[int], pts: Iterable[int]) -> frozenset[int]:
@@ -277,11 +269,7 @@ def dual_mask(mask: int, n: int) -> int:
     This is the fixed-point bijection underlying ``dual_case`` and is an
     involution.
     """
-    out = 0
-    for s in range(1, n + 1):
-        if not (mask >> (s - 1)) & 1:
-            out |= 1 << (n - s)
-    return out
+    return sum(1 << (n - b.bit_length()) for b in bit_values(~mask & ((1 << n) - 1)))
 
 
 def dual_case(lam: Iterable[int], k: int, n: int) -> tuple[Partition, int]:
@@ -292,23 +280,28 @@ def dual_case(lam: Iterable[int], k: int, n: int) -> tuple[Partition, int]:
     ((4, 3, 3, 2, 1), 5)
     """
     lam = check_box(lam, k, n)
-    check_rank(k, n)
     return conjugate(lam), n - k
 
 
-def fmt_subset(mask: int) -> str:
-    return ",".join(str(s) for s in subset_of(mask))
+def sorted_subsets(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The subsets as increasing tuples, sorted lexicographically."""
+    return tuple(sorted(subset_of(m) for m in masks))
+
+
+def fmt_subsets(masks: Iterable[int]) -> list[str]:
+    """Render subsets as increasing comma-separated elements, in sorted order.
+
+    >>> fmt_subsets([mask_of({1, 10}), mask_of({1, 2})])
+    ['1,2', '1,10']
+    """
+    return [",".join(map(str, s)) for s in sorted_subsets(masks)]
 
 
 def parse_partition(text: str) -> Partition:
     """Parse "5,4,3,1" into a partition; the empty string is the empty partition."""
     if text.strip() == "":
         return ()
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed partition: {text!r}") from None
-    return normalize_partition(parts)
+    return normalize_partition(parse_ints(text, "partition"))
 
 
 def fmt_partition(lam: Sequence[int]) -> str:

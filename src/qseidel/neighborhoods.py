@@ -29,20 +29,22 @@ from multiprocessing import Pool
 from typing import Iterable, Literal, Optional, Sequence
 
 from .grassmann import (
+    MAX_RANK,
     Partition,
     bit_values,
     box_complement,
     check_box,
-    check_rank,
     dual_mask,
     flag_fixed_points,
+    fmt_partition,
+    fmt_subsets,
     fp_schubert_b,
     fp_schubert_bminus,
     interval_mask,
     mask_of,
     part,
     size,
-    subset_of,
+    sorted_subsets,
     translate_fp,
 )
 from .perms import Perm, fmt_perm, inverse, parabolic_quotient, seidel_element
@@ -72,10 +74,10 @@ def fp_projected_schubert(
     A pair qualifies when some k-subset C with A subseteq C subseteq B is
     a fixed point of the variety; |A| = k-d and |B| = k+d.
     """
-    check_rank(k, n)
+    lam = check_box(lam, k, n)
     _check_degree(d, k, n)
     if side == "B":
-        return _projected_b(check_box(lam, k, n), d, k, n)
+        return _projected_b(lam, d, k, n)
     if side == "Bminus":
         return _project(fp_schubert_bminus(lam, k, n), d, n)
     raise ValueError(f"side must be 'B' or 'Bminus': {side!r}")
@@ -114,8 +116,8 @@ def gamma_fp(
     ``lam_b`` indexes the B-stable variety by dimension, ``lam_bm`` the
     opposite variety by codimension.
 
-    >>> sorted(subset_of(m) for m in gamma_fp((), (1,), 1, 2, 4))
-    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+    >>> sorted_subsets(gamma_fp((), (1,), 1, 2, 4))
+    ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
     """
     out: set[int] = set()
     for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
@@ -144,7 +146,6 @@ def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> GFlag
     chain fails to be strictly increasing initial segments.
     """
     lam = check_box(lam, k, n)
-    check_rank(k, n)
     if d != seidel_degree(lam, beta, k, n):
         raise ValueError(
             f"degree {d} inconsistent with seidel_degree={seidel_degree(lam, beta, k, n)}"
@@ -215,11 +216,11 @@ class CaseReport:
 
     @property
     def gamma(self) -> tuple[tuple[int, ...], ...]:
-        return _sorted_subsets(self.gamma_masks)
+        return sorted_subsets(self.gamma_masks)
 
     @property
     def target(self) -> tuple[tuple[int, ...], ...]:
-        return _sorted_subsets(self.target_masks)
+        return sorted_subsets(self.target_masks)
 
     def record(self) -> dict:
         rec = {
@@ -235,27 +236,19 @@ class CaseReport:
         }
         if not self.passed:
             rec["counterexample_detail"] = {
-                "gamma": _fmt_subsets(self.gamma_masks),
-                "target": _fmt_subsets(self.target_masks),
-                "gamma_minus_target": _fmt_subsets(self.gamma_masks - self.target_masks),
-                "target_minus_gamma": _fmt_subsets(self.target_masks - self.gamma_masks),
-                "target_partition": ",".join(map(str, self.target_partition)),
+                "gamma": fmt_subsets(self.gamma_masks),
+                "target": fmt_subsets(self.target_masks),
+                "gamma_minus_target": fmt_subsets(self.gamma_masks - self.target_masks),
+                "target_minus_gamma": fmt_subsets(self.target_masks - self.gamma_masks),
+                "target_partition": fmt_partition(self.target_partition),
                 "v_partition": None
                 if self.v_partition is None
-                else ",".join(map(str, self.v_partition)),
+                else fmt_partition(self.v_partition),
                 "length_v": self.length_v,
                 "length_target": self.length_target,
                 "product_terms": list(self.product_terms),
             }
         return rec
-
-
-def _sorted_subsets(masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(subset_of(m) for m in masks))
-
-
-def _fmt_subsets(masks: Iterable[int]) -> list[str]:
-    return [",".join(map(str, s)) for s in _sorted_subsets(masks)]
 
 
 def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
@@ -321,8 +314,8 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
 
 def sweep_cases(n_max: int) -> list[tuple[int, int, int, Perm]]:
     """All (n, k, i, u) cases with 2 <= n <= n_max, in canonical order."""
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
+    if not 2 <= n_max <= MAX_RANK:
+        raise ValueError(f"need 2 <= n_max <= {MAX_RANK} (the rank cap), got {n_max}")
     cases = []
     for n in range(2, n_max + 1):
         for k in range(1, n):

@@ -27,12 +27,22 @@ def is_perm(seq: Sequence[int]) -> bool:
     return sorted(seq) == list(range(1, len(seq) + 1))
 
 
-def check_perm(seq: Sequence[int]) -> Perm:
-    """Return ``seq`` as a tuple, raising ValueError if it is not a permutation."""
+def check_perm(seq: Sequence[int], n: Optional[int] = None) -> Perm:
+    """Return ``seq`` as a tuple, raising ValueError unless it is a permutation (of rank n)."""
     w = tuple(seq)
     if not is_perm(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
+    if n is not None and len(w) != n:
+        raise ValueError(f"rank mismatch: {len(w)} vs n={n}")
     return w
+
+
+def check_roots(roots: Iterable[int], n: int) -> frozenset[int]:
+    """Return ``roots`` as a frozenset, raising ValueError unless it lies in 1..n-1."""
+    rs = frozenset(roots)
+    if not rs <= set(range(1, n)):
+        raise ValueError(f"roots must lie in 1..{n - 1}: {sorted(rs)}")
+    return rs
 
 
 def identity(n: int) -> Perm:
@@ -125,9 +135,7 @@ def position_blocks(n: int, roots: Iterable[int]) -> list[range]:
     >>> position_blocks(4, {1, 3})
     [range(1, 3), range(3, 5)]
     """
-    rs = set(roots)
-    if not rs <= set(range(1, n)):
-        raise ValueError(f"roots must lie in 1..{n - 1}: {sorted(rs)}")
+    rs = check_roots(roots, n)
     blocks = []
     start = 1
     for i in range(1, n):
@@ -259,13 +267,17 @@ def seidel_element(n: int, i: int) -> Perm:
     return tuple(range(n - i + 1, n + 1)) + tuple(range(1, n - i + 1))
 
 
+def parse_ints(text: str, what: str) -> list[int]:
+    """Parse comma-separated integers such as "4,1,2,3"; ``what`` names them in errors."""
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed {what}: {text!r}") from None
+
+
 def parse_perm(text: str) -> Perm:
     """Parse a comma-separated one-line permutation such as "4,1,2,3"."""
-    try:
-        vals = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed permutation: {text!r}") from None
-    return check_perm(vals)
+    return check_perm(parse_ints(text, "permutation"))
 
 
 def fmt_perm(w: Sequence[int]) -> str:
@@ -280,13 +292,7 @@ def parse_roots(text: str, n: int) -> frozenset[int]:
     """
     if text.strip() == "":
         return frozenset()
-    try:
-        rs = frozenset(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed root set: {text!r}") from None
-    if not rs <= set(range(1, n)):
-        raise ValueError(f"roots must lie in 1..{n - 1}: {sorted(rs)}")
-    return rs
+    return check_roots(parse_ints(text, "root set"), n)
 
 
 def fmt_roots(roots: Iterable[int]) -> str:

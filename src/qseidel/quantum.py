@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .grassmann import (
     Partition,
@@ -23,8 +23,10 @@ from .grassmann import (
     conjugate,
     contains,
     dual_case,
+    fmt_partition,
     normalize_partition,
     part,
+    partitions_bounded,
     perm_to_partition,
     size,
 )
@@ -112,19 +114,6 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     return total
 
 
-def partitions_bounded(total: int, rows: int, width: int) -> Iterator[Partition]:
-    """Partitions of ``total`` with at most ``rows`` parts, each <= ``width``."""
-    if total == 0:
-        yield ()
-        return
-    if rows == 0:
-        return
-    lo = -(-total // rows)  # smallest feasible first part
-    for first in range(min(total, width), lo - 1, -1):
-        for rest in partitions_bounded(total - first, rows - 1, first):
-            yield (first,) + rest
-
-
 def rim_hook_reduce(nu: Sequence[int], k: int, n: int) -> Optional[tuple[Partition, int, int]]:
     """Reduce a shape with at most k rows modulo n-rim hooks.
 
@@ -136,6 +125,7 @@ def rim_hook_reduce(nu: Sequence[int], k: int, n: int) -> Optional[tuple[Partiti
     h - 1 other values, so the total sign telescopes to the parity of
     d*(k-1) plus the crossings needed to re-sort the reduced values.
     """
+    check_rank(k, n)
     nu = normalize_partition(nu)
     if len(nu) > k:
         raise ValueError(f"shape {nu} has more than {k} rows")
@@ -164,7 +154,6 @@ def classical_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> 
     """
     lam = check_box(lam, k, n)
     mu = check_box(mu, k, n)
-    check_rank(k, n)
     total = size(lam) + size(mu)
     terms: dict[tuple[Partition, int], int] = {}
     for nu in partitions_bounded(total, k, n - k):
@@ -199,7 +188,6 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QC
     """
     lam = check_box(lam, k, n)
     mu = check_box(mu, k, n)
-    check_rank(k, n)
     total = size(lam) + size(mu)
     width = part(lam, 1) + part(mu, 1)
     terms: dict[tuple[Partition, int], int] = {}
@@ -221,6 +209,11 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QC
     return QClass(k=k, n=n, terms=terms)
 
 
+def _check_beta(beta: int, k: int, n: int) -> None:
+    if not k <= beta <= n - 1:
+        raise ValueError(f"need k <= beta <= n-1, got beta={beta}, k={k}, n={n}")
+
+
 def seidel_degree(lam: Sequence[int], beta: int, k: int, n: int) -> int:
     """Smallest quantum degree in the product with the Schubert class of
     the cocharacter at beta, read off from the diagram overlap.
@@ -231,8 +224,7 @@ def seidel_degree(lam: Sequence[int], beta: int, k: int, n: int) -> int:
     2
     """
     lam = check_box(lam, k, n)
-    if not k <= beta <= n - 1:
-        raise ValueError(f"need k <= beta <= n-1, got beta={beta}, k={k}, n={n}")
+    _check_beta(beta, k, n)
     hits = [j for j in range(1, k + 1) if part(lam, j) - (beta - k) >= j]
     return max(hits, default=0)
 
@@ -245,8 +237,7 @@ def seidel_class(beta: int, k: int, n: int) -> Partition:
     (4, 4, 4, 4)
     """
     check_rank(k, n)
-    if not k <= beta <= n - 1:
-        raise ValueError(f"need k <= beta <= n-1, got beta={beta}, k={k}, n={n}")
+    _check_beta(beta, k, n)
     return ((n - beta),) * k
 
 
@@ -282,7 +273,6 @@ def resolve_frame(lam: Sequence[int], i: int, k: int, n: int) -> Frame:
     >>> resolve_frame((4, 3, 3, 2, 1), 4, 5, 9)
     Frame(k=4, lam=(5, 4, 3, 1), beta=5, dualized=True, d=2)
     """
-    check_rank(k, n)
     lam = check_box(lam, k, n)
     if not 0 <= i <= n - 1:
         raise ValueError(f"need 0 <= i <= n-1, got i={i}")
@@ -330,9 +320,7 @@ def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelChec
     transfers back unchanged.
     """
     check_rank(k, n)
-    u = check_perm(u)
-    if len(u) != n:
-        raise ValueError(f"rank mismatch: {len(u)} vs n={n}")
+    u = check_perm(u, n)
     xroots = frozenset(range(1, n)) - {k}
     frame = resolve_frame(perm_to_partition(min_coset_rep(u, xroots), k, n), i, k, n)
     target = perm_to_partition(min_coset_rep(compose(seidel_element(n, i), u), xroots), k, n)
@@ -348,6 +336,6 @@ def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelChec
 def qclass_records(c: QClass) -> list[dict]:
     """Serializable term records in canonical order."""
     return [
-        {"partition": ",".join(str(p) for p in shape), "q": q, "coeff": coeff}
+        {"partition": fmt_partition(shape), "q": q, "coeff": coeff}
         for (shape, q), coeff in c.items_canonical()
     ]

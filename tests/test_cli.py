@@ -327,6 +327,11 @@ class TestVerify:
         )
         assert (code, out) == (2, "") and "sample_size >= 1" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--mode", "sampled", "--sample-size", "1"]])
+    def test_n_max_above_rank_cap(self, capsys, extra):
+        code, out, err = run(["verify", "--n-max", "17", *extra], capsys)
+        assert (code, out) == (2, "") and "rank cap" in err
+
     def test_malformed_permutation(self, capsys):
         code, _, err = run(
             ["verify", "--n", "4", "--k", "2", "--root", "2", "--u", "1,1,2,3"],

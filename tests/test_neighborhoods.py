@@ -15,7 +15,6 @@ from qseidel.grassmann import (
 from qseidel.neighborhoods import (
     CHECK_NAMES,
     CaseReport,
-    GFlagChain,
     chain_fixed_points,
     fp_projected_schubert,
     fp_richardson,
@@ -329,6 +328,13 @@ class TestSweep:
     def test_sampled_rejects_size_below_one(self, size):
         with pytest.raises(ValueError, match="sample_size >= 1"):
             sweep(3, mode="sampled", sample_size=size)
+
+    @pytest.mark.parametrize("opts", [{}, {"mode": "sampled", "sample_size": 1}])
+    def test_rejects_n_max_above_rank_cap(self, monkeypatch, opts):
+        # the cap is checked before a single case is built
+        monkeypatch.setattr(neighborhoods, "parabolic_quotient", None)
+        with pytest.raises(ValueError, match="rank cap"):
+            sweep(grassmann.MAX_RANK + 1, **opts)
 
     def test_exhaustive_small(self):
         report = sweep(3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers_oracles import oracle_bruhat_leq, oracle_downset, oracle_join
+from helpers_oracles import oracle_downset, oracle_join
 from qseidel.perms import (
     bruhat_leq,
     compose,

@@ -12,6 +12,7 @@ from qseidel.grassmann import (
     conjugate,
     contains,
     normalize_partition,
+    partition_to_perm,
     perm_to_partition,
     size,
 )
@@ -329,3 +330,19 @@ class TestSeidelShift:
                         )
                         chk = seidel_product_check(u, i, k, n)
                         assert chk.target == perm_to_partition(shifted, k, n)
+
+
+@pytest.mark.parametrize(
+    "fn,args,message",
+    [
+        pytest.param(partition_to_perm, ((), 2, 40), "rank cap", id="partition_to_perm-n40"),
+        pytest.param(partition_to_perm, ((), 0, 4), "1 <= k <= n-1", id="partition_to_perm-k0"),
+        pytest.param(seidel_degree, ((), 3, 0, 4), "1 <= k <= n-1", id="seidel_degree-k0"),
+        pytest.param(seidel_degree, ((), 20, 4, 40), "rank cap", id="seidel_degree-n40"),
+        pytest.param(box_complement, ((), 5, 3), "1 <= k <= n-1", id="box_complement-k5n3"),
+        pytest.param(rim_hook_reduce, ((), 2, 0), "1 <= k <= n-1", id="rim_hook_reduce-n0"),
+    ],
+)
+def test_entry_points_check_the_rank(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

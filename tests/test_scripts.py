@@ -42,3 +42,19 @@ def test_shift_table_frames(capsys):
     assert "  [1      ] -> q^0 [1      ] (direct, single_term=yes)" in lines
     assert "(dual, single_term=yes)" in lines[lines.index("shift by index 1:") + 1]
     assert lines[-1] == "all rows single-term"
+
+
+def test_run_sweep_rejects_n_max_above_rank_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("run_sweep").main(["--n-max", "17"])
+    assert exc.value.code == 2
+    assert "rank cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,k", [("4", "0"), ("40", "2")])
+def test_shift_table_rejects_bad_rank(capsys, n, k):
+    with pytest.raises(SystemExit) as exc:
+        load("shift_table").main(["--n", n, "--k", k])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
