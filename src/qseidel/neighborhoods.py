@@ -1,16 +1,18 @@
 """Curve neighborhoods of Schubert pairs, computed on torus-fixed points.
 
-The degree-d neighborhood of a pair of opposite Schubert varieties is
-B-stable and B^- stable at once, so it is a union of Schubert cells and
-is pinned down by its fixed points.  Those are computed through the
-incidence correspondence: a k-subset C belongs to the neighborhood when
-some pair A subseteq C subseteq B with |A| = k-d, |B| = k+d joins C to
-both input varieties through their own fixed points.
+The T-fixed points of the degree-d neighborhood of a pair of opposite
+Schubert varieties are computed through the incidence correspondence: a
+k-subset C belongs to the neighborhood when some pair A subseteq C
+subseteq B with |A| = k-d, |B| = k+d joins C to both input varieties
+through their own fixed points.
 
-``verify_case`` compares that oracle against the translated fixed-point
-set that the single-term quantum product predicts, and cross-checks the
-explicit flag chain carving out the neighborhood as one Schubert
-variety.
+``verify_case`` checks that this set equals the fixed-point set of the
+translated Schubert variety that the single-term quantum product
+predicts, and cross-checks the explicit flag chain carving out the
+neighborhood as one Schubert variety.  Only the two fixed-point sets are
+compared: the neighborhood is T-stable but in general not B-stable (at
+d = 0 it is a Richardson variety), so equal fixed points alone do not
+identify the two varieties.
 
 Subsets of a mask are enumerated as sums of its single-bit values.  The
 projection of the rectangle side depends only on (beta, k, n, d) and is
@@ -172,14 +174,15 @@ def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> GFlag
     return GFlagChain(n=n, k=k, beta=beta, d=d, subsets=tuple(subsets), basis_order=order)
 
 
-def chain_fixed_points(chain: GFlagChain, k: int, n: int) -> frozenset[int]:
+def chain_fixed_points(chain: GFlagChain) -> frozenset[int]:
     """Fixed points of the Schubert variety the chain defines."""
-    return flag_fixed_points(chain.subsets, k, n)
+    return flag_fixed_points(chain.subsets, chain.k, chain.n)
 
 
-def v_from_gflags(chain: GFlagChain, k: int, n: int) -> Partition:
+def v_from_gflags(chain: GFlagChain) -> Partition:
     """Codimension partition of the chain's Schubert variety, with parts
     n - k + i - dim(G_i)."""
+    k, n = chain.k, chain.n
     vals = [n - k + i - g.bit_count() for i, g in enumerate(chain.subsets, start=1)]
     if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
         raise ValueError(f"chain dimensions give a non-partition: {vals}")
@@ -206,8 +209,6 @@ class CaseReport:
     target_masks: frozenset[int]
     target_partition: Partition
     v_partition: Optional[Partition]
-    length_v: Optional[int]
-    length_target: int
     product_terms: list[dict] = field(default_factory=list)
 
     @property
@@ -244,8 +245,8 @@ class CaseReport:
                 "v_partition": None
                 if self.v_partition is None
                 else fmt_partition(self.v_partition),
-                "length_v": self.length_v,
-                "length_target": self.length_target,
+                "length_v": None if self.v_partition is None else size(self.v_partition),
+                "length_target": size(self.target_partition),
                 "product_terms": list(self.product_terms),
             }
         return rec
@@ -265,7 +266,6 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
     checks = dict.fromkeys(CHECK_NAMES, True)
     checks["product_single_term"] = pcheck.passed
     v_partition: Optional[Partition] = None
-    length_v: Optional[int] = None
 
     # the rotated bottom variety, indexed by dimension: the rectangle's complement
     lam_b = box_complement(frame.rectangle(n), frame.k, n)
@@ -274,8 +274,8 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         target_frame = frame.to_frame(target_partition)
         try:
             chain = g_flag_chain(frame.lam, frame.beta, d, frame.k, n)
-            checks["g_chain_containment"] = gamma <= chain_fixed_points(chain, frame.k, n)
-            v_partition = v_from_gflags(chain, frame.k, n)
+            checks["g_chain_containment"] = gamma <= chain_fixed_points(chain)
+            v_partition = v_from_gflags(chain)
         except ValueError:
             checks["g_chain_containment"] = False
             checks["v_match"] = False
@@ -306,8 +306,6 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         target_masks=target,
         target_partition=target_partition,
         v_partition=v_partition,
-        length_v=length_v,
-        length_target=size(target_partition),
         product_terms=qclass_records(pcheck.product),
     )
 

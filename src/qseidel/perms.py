@@ -37,6 +37,12 @@ def check_perm(seq: Sequence[int], n: Optional[int] = None) -> Perm:
     return w
 
 
+def check_index(i: int, n: int) -> None:
+    """Raise ValueError unless the cocharacter index i lies in 0..n-1."""
+    if not 0 <= i <= n - 1:
+        raise ValueError(f"need 0 <= i <= n-1, got i={i}")
+
+
 def check_roots(roots: Iterable[int], n: int) -> frozenset[int]:
     """Return ``roots`` as a frozenset, raising ValueError unless it lies in 1..n-1."""
     rs = frozenset(roots)
@@ -65,9 +71,8 @@ def compose(a: Sequence[int], b: Sequence[int]) -> Perm:
     >>> compose((2, 1, 3), (1, 3, 2))
     (2, 3, 1)
     """
-    if len(a) != len(b):
-        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
-    return tuple(a[t - 1] for t in b)
+    a = check_perm(a)
+    return tuple(a[t - 1] for t in check_perm(b, len(a)))
 
 
 def inverse(a: Sequence[int]) -> Perm:
@@ -122,9 +127,8 @@ def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     >>> bruhat_leq((3, 1, 2), (1, 3, 2))
     False
     """
-    if len(u) != len(v):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
-    return table_leq(rank_table(u), rank_table(v))
+    u = check_perm(u)
+    return table_leq(rank_table(u), rank_table(check_perm(v, len(u))))
 
 
 def position_blocks(n: int, roots: Iterable[int]) -> list[range]:
@@ -211,17 +215,17 @@ def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[P
     least element.  None means no join (an explicit NoJoin outcome, not a
     failure).
     """
-    if len(u) != len(v):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
+    u = check_perm(u)
+    v = check_perm(v, len(u))
     n = len(u)
     rs = frozenset(roots)
     for w in (u, v):
         if not is_min_coset_rep(w, rs):
-            raise ValueError(f"not a minimal coset representative: {tuple(w)}")
+            raise ValueError(f"not a minimal coset representative: {w}")
     if bruhat_leq(u, v):
-        return tuple(v)
+        return v
     if bruhat_leq(v, u):
-        return tuple(u)
+        return u
     tu, tv = rank_table(u), rank_table(v)
     floor = max(length(u), length(v)) + 1
     bounds = [
@@ -262,8 +266,7 @@ def seidel_element(n: int, i: int) -> Perm:
     >>> seidel_element(4, 0)
     (1, 2, 3, 4)
     """
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"power must lie in 0..{n - 1}: {i}")
+    check_index(i, n)
     return tuple(range(n - i + 1, n + 1)) + tuple(range(1, n - i + 1))
 
 

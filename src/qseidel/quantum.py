@@ -30,7 +30,7 @@ from .grassmann import (
     perm_to_partition,
     size,
 )
-from .perms import check_perm, compose, min_coset_rep, seidel_element
+from .perms import check_index, check_perm, compose, min_coset_rep, seidel_element
 
 
 @dataclass
@@ -274,8 +274,7 @@ def resolve_frame(lam: Sequence[int], i: int, k: int, n: int) -> Frame:
     Frame(k=4, lam=(5, 4, 3, 1), beta=5, dualized=True, d=2)
     """
     lam = check_box(lam, k, n)
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"need 0 <= i <= n-1, got i={i}")
+    check_index(i, n)
     if i == 0:
         return Frame(k=k, lam=lam, beta=None, dualized=False, d=0)
     if i >= k:

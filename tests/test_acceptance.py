@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from qseidel.cli import render_cases_csv
+from qseidel.cli import dumps_json, render_cases_csv
 from qseidel.grassmann import (
     box_complement,
     box_partitions,
@@ -32,8 +32,9 @@ from qseidel.quantum import (
 
 RANKS_6 = [(k, n) for n in range(2, 7) for k in range(1, n)]
 
-# sha256 of ``qseidel verify --n-max 8 --format csv``
+# sha256 of ``qseidel verify --n-max 8 --format csv`` and ``--format json``
 GOLDEN_CSV_N8 = "221bec92354c03345c50246336259400e5bd68243f37da0a9cc43847ca8d250f"
+GOLDEN_JSON_N8 = "ffe506bdf065ba9bfaec2cb9461460ee78ff3dbf14c118e54d64b3b912c59cd4"
 
 
 def announce(capsys, ident: str, label: str, ok: bool) -> None:
@@ -85,6 +86,11 @@ def test_4_flag_chain_consistency(capsys, sweep8):
 def test_golden_csv_report(sweep8):
     text = render_cases_csv([c.record() for c in sweep8.cases])
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_N8
+
+
+def test_golden_json_report(sweep8):
+    text = dumps_json(sweep8.record())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_JSON_N8
 
 
 def test_5_join_of_projections(capsys):

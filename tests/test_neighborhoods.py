@@ -169,7 +169,7 @@ class TestGFlagChain:
         chain = g_flag_chain((1,), 2, 1, 2, 4)
         assert chain.subsets == (mask_of({1, 2}), mask_of({1, 2, 3, 4}))
         assert chain.basis_order == (2, 1, 4, 3)
-        assert v_from_gflags(chain, 2, 4) == (1,)
+        assert v_from_gflags(chain) == (1,)
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
@@ -188,18 +188,18 @@ class TestGFlagChain:
                         chain = g_flag_chain(lam, beta, d, k, n)
                         sizes = [g.bit_count() for g in chain.subsets]
                         assert sizes == sorted(set(sizes))
-                        v = v_from_gflags(chain, k, n)
+                        v = v_from_gflags(chain)
                         assert size(v) == n * (k - d) - beta * k + size(lam)
 
     def test_bottom_class_at_beta_k(self):
         # lam = 0, beta = k: the chain cuts out the opposite point orbit
         chain = g_flag_chain((), 2, 0, 2, 4)
-        assert v_from_gflags(chain, 2, 4) == (2, 2)
-        assert chain_fixed_points(chain, 2, 4) == frozenset({mask_of({1, 2})})
+        assert v_from_gflags(chain) == (2, 2)
+        assert chain_fixed_points(chain) == frozenset({mask_of({1, 2})})
 
     def test_fixed_points_contain_gamma_example(self):
         chain = g_flag_chain((1,), 2, 1, 2, 4)
-        assert gamma_fp((), (1,), 1, 2, 4) <= chain_fixed_points(chain, 2, 4)
+        assert gamma_fp((), (1,), 1, 2, 4) <= chain_fixed_points(chain)
 
 
 class TestVerifyCase:
@@ -258,8 +258,6 @@ class TestVerifyCase:
             target_masks=frozenset(mask_of(s) for s in rep.target[:3]),
             target_partition=rep.target_partition,
             v_partition=rep.v_partition,
-            length_v=rep.length_v,
-            length_target=rep.length_target,
             product_terms=rep.product_terms,
         )
         rec = broken.record()
@@ -268,6 +266,7 @@ class TestVerifyCase:
         assert detail["gamma_minus_target"] == ["2,3", "2,4"]
         assert detail["target_minus_gamma"] == []
         assert detail["v_partition"] == "1"
+        assert (detail["length_v"], detail["length_target"]) == (1, 1)
 
     def test_cardinality_invariant(self):
         for n, k, i, u in sweep_cases(4):

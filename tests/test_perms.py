@@ -47,6 +47,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             compose((1, 2), (1, 2, 3))
 
+    @pytest.mark.parametrize(
+        "fn,args,message",
+        [
+            (compose, ((1, 1, 3), (1, 2, 3)), "not a permutation"),
+            (compose, ((1, 2, 3), (3, 3, 1)), "not a permutation"),
+            (compose, ((1, 2, 3), (2, 1)), "rank mismatch"),
+            (bruhat_leq, ((1, 1), (2, 2)), "not a permutation"),
+            (bruhat_leq, ((1, 2), (0, 2)), "not a permutation"),
+            (bruhat_leq, ((2, 1), (1, 2, 3)), "rank mismatch"),
+            (join, ((1, 1), (1, 2), frozenset()), "not a permutation"),
+            (join, ((1, 2), (2, 3), frozenset()), "not a permutation"),
+            (join, ((1, 2, 3), (1, 2), frozenset()), "rank mismatch"),
+        ],
+        ids=[f"{fn}-{arg}" for fn in ("compose", "bruhat_leq", "join") for arg in ("a", "b", "rank")],
+    )
+    def test_two_permutation_functions_check_both(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
     def test_inverse_example(self):
         assert inverse((4, 1, 2, 3)) == (2, 3, 4, 1)
 

@@ -281,6 +281,14 @@ class TestSeidelShift:
         with pytest.raises(ValueError, match=message):
             resolve_frame(lam, i, k, n)
 
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_index_message_shared_with_seidel_element(self, i):
+        with pytest.raises(ValueError) as by_element:
+            seidel_element(4, i)
+        with pytest.raises(ValueError) as by_frame:
+            resolve_frame((), i, 2, 4)
+        assert str(by_element.value) == str(by_frame.value) == f"need 0 <= i <= n-1, got i={i}"
+
     def test_check_identity_case(self):
         chk = seidel_product_check((2, 4, 1, 3), 0, 2, 4)
         assert chk.passed and chk.d == 0 and not chk.dualized

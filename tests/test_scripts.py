@@ -1,7 +1,12 @@
 import importlib.util
+import io
+import json
+import sys
 from pathlib import Path
 
 import pytest
+
+from qseidel.cli import main as qseidel_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -13,27 +18,56 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--n-max", "3", "--seed", "1"],
-        ["--n-max", "3", "--sample-size", "4"],
-        ["--n-max", "3", "--mode", "sampled", "--sample-size", "-1"],
-    ],
-)
-def test_run_sweep_rejects_options_of_the_other_mode(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        load("run_sweep").main(argv)
-    assert exc.value.code == 2
+def sweep_report(capsys):
+    assert qseidel_main(["verify", "--n-max", "3", "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+def run_sweep_table(monkeypatch, capsys, stdin):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = load("sweep_table").main([])
     out, err = capsys.readouterr()
-    assert out == "" and "error:" in err
+    return code, out, err
 
 
-def test_run_sweep_table(capsys):
-    assert load("run_sweep").main(["--n-max", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "degree histogram: {0: 15, 1: 7}" in out
-    assert "22 cases in" in out
+def test_sweep_table(monkeypatch, capsys):
+    code, out, err = run_sweep_table(monkeypatch, capsys, sweep_report(capsys))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "  n   k   cases  fail",
+        "  2   1       4     0",
+        "  3   1       9     0",
+        "  3   2       9     0",
+        "",
+        "degree histogram: {0: 15, 1: 7}",
+        "22 cases: all passed",
+    ]
+
+
+def test_sweep_table_lists_failures(monkeypatch, capsys):
+    report = json.loads(sweep_report(capsys))
+    failed = report["cases"][5]
+    failed["pass"] = False
+    code, out, _ = run_sweep_table(monkeypatch, capsys, json.dumps(report))
+    lines = out.splitlines()
+    assert code == 1
+    assert "  3   1       9     1" in lines
+    assert lines[-2:] == ["22 cases: 1 FAILED", json.dumps(failed)]
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    ["", "not json", "[]", '{"n_max": 3}', '{"cases": [{"n": 2, "k": 1}]}'],
+)
+def test_sweep_table_rejects_malformed_input(monkeypatch, capsys, stdin):
+    code, out, err = run_sweep_table(monkeypatch, capsys, stdin)
+    assert (code, out) == (2, "") and err.startswith("error: stdin is not a sweep report")
+
+
+def test_sweep_table_takes_no_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("sweep_table").main(["--n-max", "3"])
+    assert exc.value.code == 2
 
 
 def test_shift_table_frames(capsys):
@@ -42,13 +76,6 @@ def test_shift_table_frames(capsys):
     assert "  [1      ] -> q^0 [1      ] (direct, single_term=yes)" in lines
     assert "(dual, single_term=yes)" in lines[lines.index("shift by index 1:") + 1]
     assert lines[-1] == "all rows single-term"
-
-
-def test_run_sweep_rejects_n_max_above_rank_cap(capsys):
-    with pytest.raises(SystemExit) as exc:
-        load("run_sweep").main(["--n-max", "17"])
-    assert exc.value.code == 2
-    assert "rank cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,k", [("4", "0"), ("40", "2")])
