@@ -36,9 +36,9 @@ def main(argv=None) -> int:
             u = partition_to_perm(lam, args.k, args.n)
             chk = seidel_product_check(u, i, args.k, args.n)
             clean = clean and chk.passed
-            frame = "dual" if chk.dualized else "direct"
+            frame = "dual" if chk.frame.dualized else "direct"
             print(
-                f"  [{fmt_partition(lam):<{width}}] -> q^{chk.d} "
+                f"  [{fmt_partition(lam):<{width}}] -> q^{chk.frame.d} "
                 f"[{fmt_partition(chk.target):<{width}}] "
                 f"({frame}, single_term={'yes' if chk.passed else 'NO'})"
             )

@@ -5,9 +5,11 @@ stored as tuples of weakly decreasing positive parts (no trailing
 zeros).  Torus-fixed points are k-subsets of {1..n}; internally each
 subset is a machine-word bitmask with bit s-1 standing for the element
 s, which keeps the exhaustive sweeps cheap.  The rank cap MAX_RANK
-guards the mask representation.  Sweeps ask for the same Schubert
-fixed-point sets many times over, so those sets and the k-subset tables
-behind them are cached once validated; cached values are immutable.
+guards the mask representation.  Sweeps ask for the same opposite
+Schubert fixed-point sets many times over, so those sets and the
+k-subset tables behind them are cached once validated; cached values
+are immutable.  The B-stable sets are asked for only when the
+rectangle-side projection in ``neighborhoods`` misses its own cache.
 
 Two indexing conventions coexist and both are needed downstream:
 
@@ -24,15 +26,16 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Perm, check_perm, is_min_coset_rep, parse_ints
+from .perms import Perm, check_perm, min_coset_rep, parse_ints
 
 Partition = tuple[int, ...]
 
 # Masks use one bit per element of {1..n}; raise above this rank.
 MAX_RANK = 16
 
-# Cached Schubert fixed-point sets.  An exhaustive sweep needs at most two
-# sets per box partition of the (n, k) block it is in, i.e. 504 at n = 10.
+# Cached opposite Schubert fixed-point sets.  In its (n, k) block an
+# exhaustive sweep needs at most one per box partition of Gr(k, n) and one
+# per box partition of the dual Gr(n-k, n), i.e. 420 at n = 10.
 FP_CACHE_SIZE = 1024
 
 
@@ -127,19 +130,19 @@ def box_partitions(k: int, n: int) -> list[Partition]:
 
 
 def perm_to_partition(w: Sequence[int], k: int, n: int) -> Partition:
-    """Partition indexing the Schubert cell of a minimal representative.
+    """Partition indexing the Schubert cell of the coset of ``w`` modulo
+    the maximal parabolic subgroup at k.
 
-    ``w`` must ascend on positions 1..k and on k+1..n.  The parts are
-    w(k)-k, w(k-1)-(k-1), ..., w(1)-1.
+    The parts are w(k)-k, w(k-1)-(k-1), ..., w(1)-1 for the coset's
+    minimal representative w, which ascends on positions 1..k and k+1..n.
 
     >>> perm_to_partition((2, 4, 1, 3), 2, 4)
     (2, 1)
+    >>> perm_to_partition((4, 2, 3, 1), 2, 4)
+    (2, 1)
     """
     check_rank(k, n)
-    w = check_perm(w, n)
-    grassmannian_roots = frozenset(range(1, n)) - {k}
-    if not is_min_coset_rep(w, grassmannian_roots):
-        raise ValueError(f"{w} is not minimal for the maximal parabolic at {k}")
+    w = min_coset_rep(check_perm(w, n), frozenset(range(1, n)) - {k})
     return normalize_partition(w[i - 1] - i for i in range(k, 0, -1))
 
 
@@ -220,11 +223,6 @@ def fp_schubert_b(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
     [(1, 2), (1, 3)]
     """
     lam = check_box(lam, k, n)
-    return _fp_schubert_b(lam, k, n)
-
-
-@lru_cache(maxsize=FP_CACHE_SIZE)
-def _fp_schubert_b(lam: Partition, k: int, n: int) -> frozenset[int]:
     prefixes = [interval_mask(1, i + part(lam, k - i + 1)) for i in range(1, k + 1)]
     return flag_fixed_points(prefixes, k, n)
 

@@ -261,7 +261,7 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
     zero-degree neighborhood being X^u itself, and has no chain.
     """
     pcheck = seidel_product_check(u, i, k, n)
-    frame, d, target_partition = pcheck.frame, pcheck.d, pcheck.target
+    frame, d, target_partition = pcheck.frame, pcheck.frame.d, pcheck.target
     target = translate_fp(inverse(seidel_element(n, i)), fp_schubert_bminus(target_partition, k, n))
     checks = dict.fromkeys(CHECK_NAMES, True)
     checks["product_single_term"] = pcheck.passed

@@ -233,14 +233,8 @@ def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[P
         for x, lx, tx in _quotient_index(n, rs)
         if lx >= floor and table_leq(tu, tx) and table_leq(tv, tx)
     ]
-    if not bounds:
-        return None
-    lmin = min(lx for _, lx, _ in bounds)
-    least = [(x, tx) for x, lx, tx in bounds if lx == lmin]
-    if len(least) != 1:
-        # two incomparable minimal-length bounds, so no least element
-        return None
-    m, tm = least[0]
+    # never empty: the quotient's longest element bounds u and v
+    m, _, tm = min(bounds, key=lambda b: b[1])
     if all(table_leq(tm, tx) for _, _, tx in bounds):
         return m
     return None

@@ -30,7 +30,7 @@ from .grassmann import (
     perm_to_partition,
     size,
 )
-from .perms import check_index, check_perm, compose, min_coset_rep, seidel_element
+from .perms import check_index, compose, seidel_element
 
 
 @dataclass
@@ -289,25 +289,14 @@ class SeidelCheck:
     """Outcome of the single-term product test for one (u, i) case.
 
     ``target`` is always reported in the original k-plane frame;
-    ``product`` lives in ``frame``, the dual one when ``dualized`` is set.
+    ``product`` lives in ``frame``, the dual one when ``frame.dualized``
+    is set.
     """
 
     target: Partition
     passed: bool
     product: QClass
     frame: Frame
-
-    @property
-    def d(self) -> int:
-        return self.frame.d
-
-    @property
-    def dualized(self) -> bool:
-        return self.frame.dualized
-
-    @property
-    def beta(self) -> Optional[int]:
-        return self.frame.beta
 
 
 def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelCheck:
@@ -318,11 +307,8 @@ def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelChec
     the degree formula's hypothesis beta >= k holds; the verdict
     transfers back unchanged.
     """
-    check_rank(k, n)
-    u = check_perm(u, n)
-    xroots = frozenset(range(1, n)) - {k}
-    frame = resolve_frame(perm_to_partition(min_coset_rep(u, xroots), k, n), i, k, n)
-    target = perm_to_partition(min_coset_rep(compose(seidel_element(n, i), u), xroots), k, n)
+    frame = resolve_frame(perm_to_partition(u, k, n), i, k, n)
+    target = perm_to_partition(compose(seidel_element(n, i), u), k, n)
     prod = quantum_product(frame.rectangle(n), frame.lam, frame.k, n)
     return SeidelCheck(
         target=target,

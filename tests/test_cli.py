@@ -283,6 +283,42 @@ class TestVerify:
         assert "pass=false" in out
         assert "gamma_minus_target" in out
 
+    def test_sweep_text_lists_failing_case(self, capsys, monkeypatch):
+        real = neighborhoods.verify_case
+
+        def broken(n, k, i, u):
+            rep = real(n, k, i, u)
+            if (n, k, i, u) == (3, 2, 1, (1, 3, 2)):
+                rep.checks["v_match"] = False
+            return rep
+
+        monkeypatch.setattr("qseidel.neighborhoods.verify_case", broken)
+        code, out, _ = run(["verify", "--n-max", "3"], capsys)
+        assert code == 1
+        assert out == (
+            "case n=3 k=2 i=1 u=1,3,2 beta=2 dualized=true d=0 pass=false\n"
+            "  checks fp_equality=true g_chain_containment=true length_identity=true"
+            " product_single_term=true v_match=false\n"
+            "  gamma: 1,3\n"
+            "  target: 1,3\n"
+            "  gamma_minus_target: -\n"
+            "  target_minus_gamma: -\n"
+            "  v_partition=2 target_partition=1,1 length_v=2 length_target=2\n"
+            "  product: q^0 * [(2)] x1\n"
+            "sweep n_max=3 mode=exhaustive cases=22 pass=21 fail=1\n"
+        )
+
+    def test_single_case_json(self, capsys):
+        code, out, _ = run(
+            [
+                "verify", "--n", "4", "--k", "2", "--root", "2",
+                "--u", "1,3,2,4", "--format", "json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out == dumps_json(neighborhoods.verify_case(4, 2, 2, (1, 3, 2, 4)).record())
+
     def test_conflicting_selection(self, capsys):
         code, _, err = run(
             ["verify", "--n-max", "3", "--n", "4", "--k", "2", "--root", "1", "--u", "1,2,3,4"],

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from qseidel.grassmann import (
     translate_fp,
     translate_mask,
 )
-from qseidel.perms import inverse
+from qseidel.perms import inverse, min_coset_rep
 
 RANKS = [(k, n) for n in range(2, 7) for k in range(1, n)]
 
@@ -95,9 +97,26 @@ class TestPermPartition:
         assert partition_to_perm((2, 1), 2, 4) == (2, 4, 1, 3)
         assert partition_to_perm((), 2, 4) == (1, 2, 3, 4)
 
-    def test_rejects_non_minimal(self):
-        with pytest.raises(ValueError):
-            perm_to_partition((4, 2, 1, 3), 2, 4)
+    def test_reads_any_coset(self):
+        assert perm_to_partition((4, 2, 1, 3), 2, 4) == (2, 1)
+        for n in range(2, 7):
+            for k in range(1, n):
+                roots = frozenset(range(1, n)) - {k}
+                for w in itertools.permutations(range(1, n + 1)):
+                    rep = min_coset_rep(w, roots)
+                    assert perm_to_partition(w, k, n) == perm_to_partition(rep, k, n)
+
+    @pytest.mark.parametrize(
+        "w,k,n,message",
+        [
+            ((1, 1, 3), 1, 3, "not a permutation"),
+            ((1, 2, 3), 1, 4, "rank mismatch"),
+            ((1, 2, 3), 3, 3, "1 <= k <= n-1"),
+        ],
+    )
+    def test_rejects_bad_input(self, w, k, n, message):
+        with pytest.raises(ValueError, match=message):
+            perm_to_partition(w, k, n)
 
     def test_roundtrip_all_representatives(self):
         for n in range(2, 9):
@@ -143,7 +162,6 @@ class TestMasks:
 
 class TestFixedPoints:
     def test_cached_sets_are_keyed_on_the_normalized_partition(self):
-        assert fp_schubert_b([1, 0], 2, 4) is fp_schubert_b((1,), 2, 4)
         assert fp_schubert_bminus([2, 1, 0], 2, 4) is fp_schubert_bminus((2, 1), 2, 4)
         with pytest.raises(ValueError):
             fp_schubert_b([1, 0, 1], 2, 4)

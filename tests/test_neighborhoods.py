@@ -4,6 +4,7 @@ import pytest
 
 from helpers_oracles import oracle_gamma
 from qseidel import grassmann, neighborhoods
+from qseidel.cli import render_case_text
 from qseidel.grassmann import (
     box_partitions,
     fp_schubert_b,
@@ -130,7 +131,6 @@ class TestGamma:
         for cached in (
             grassmann.k_subset_masks,
             grassmann.bit_values,
-            grassmann._fp_schubert_b,
             grassmann._fp_schubert_bminus,
             neighborhoods._projected_b,
         ):
@@ -267,6 +267,25 @@ class TestVerifyCase:
         assert detail["target_minus_gamma"] == []
         assert detail["v_partition"] == "1"
         assert (detail["length_v"], detail["length_target"]) == (1, 1)
+
+    def test_chain_error_fails_only_the_chain_checks(self, monkeypatch):
+        def no_chain(*args):
+            raise ValueError("chain member 1 is not an initial segment")
+
+        monkeypatch.setattr(neighborhoods, "g_flag_chain", no_chain)
+        rep = verify_case(4, 2, 2, (1, 3, 2, 4))
+        assert rep.checks == {
+            "fp_equality": True,
+            "g_chain_containment": False,
+            "v_match": False,
+            "length_identity": False,
+            "product_single_term": True,
+        }
+        assert rep.v_partition is None
+        detail = rep.record()["counterexample_detail"]
+        assert (detail["v_partition"], detail["length_v"]) == (None, None)
+        text = render_case_text(rep.record())
+        assert "  v_partition=None target_partition=1 length_v=None length_target=1\n" in text
 
     def test_cardinality_invariant(self):
         for n, k, i, u in sweep_cases(4):

@@ -291,21 +291,21 @@ class TestSeidelShift:
 
     def test_check_identity_case(self):
         chk = seidel_product_check((2, 4, 1, 3), 0, 2, 4)
-        assert chk.passed and chk.d == 0 and not chk.dualized
-        assert chk.beta is None
+        assert chk.passed and chk.frame.d == 0 and not chk.frame.dualized
+        assert chk.frame.beta is None
         assert chk.target == (2, 1)
 
     def test_check_primal_case(self):
         chk = seidel_product_check((1, 3, 2, 4), 2, 2, 4)
-        assert chk.passed and not chk.dualized
-        assert chk.beta == 2 and chk.d == 1
+        assert chk.passed and not chk.frame.dualized
+        assert chk.frame.beta == 2 and chk.frame.d == 1
         assert chk.target == (1,)
         assert chk.product.terms == {((1,), 1): 1}
 
     def test_check_dual_case(self):
         chk = seidel_product_check((1, 2, 3, 4, 5), 1, 3, 5)
-        assert chk.passed and chk.dualized
-        assert chk.beta == 4 and chk.d == 0
+        assert chk.passed and chk.frame.dualized
+        assert chk.frame.beta == 4 and chk.frame.d == 0
         assert chk.target == (2,)
         # the product itself lives in the transposed frame
         assert chk.product.terms == {((1, 1), 0): 1}
@@ -313,7 +313,19 @@ class TestSeidelShift:
     def test_check_ignores_coset_choice(self):
         rep = seidel_product_check((2, 4, 1, 3), 2, 2, 4)
         other = seidel_product_check((4, 2, 3, 1), 2, 2, 4)
-        assert (rep.d, rep.target, rep.passed) == (other.d, other.target, other.passed)
+        assert (rep.frame.d, rep.target, rep.passed) == (other.frame.d, other.target, other.passed)
+
+    @pytest.mark.parametrize(
+        "u,k,n,message",
+        [
+            ((1, 1, 3), 1, 3, "not a permutation"),
+            ((1, 2, 3), 1, 4, "rank mismatch"),
+            ((1, 1, 3), 3, 3, "1 <= k <= n-1"),
+        ],
+    )
+    def test_check_rejects_rank_before_permutation(self, u, k, n, message):
+        with pytest.raises(ValueError, match=message):
+            seidel_product_check(u, 1, k, n)
 
     def test_single_term_exhaustive_small(self):
         for n in range(2, 6):
