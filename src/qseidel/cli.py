@@ -64,13 +64,12 @@ def render_case_text(rec: dict) -> str:
 
 
 def render_sweep_text(rep: neighborhoods.SweepReport) -> str:
-    out = []
-    for case in rep.failures:
-        out.append(render_case_text(case.record()))
+    failures = rep.failures
+    out = [render_case_text(rec) for rec in failures]
     sampled = f" sample_size={rep.sample_size} seed={rep.seed}" if rep.mode == "sampled" else ""
     out.append(
         f"sweep n_max={rep.n_max} mode={rep.mode}{sampled} "
-        f"cases={rep.total} pass={rep.total - len(rep.failures)} fail={len(rep.failures)}\n"
+        f"cases={rep.total} pass={rep.total - len(failures)} fail={len(failures)}\n"
     )
     return "".join(out)
 
@@ -170,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         if args.format == "json":
             return dumps_json(rep.record()), code
         if args.format == "csv":
-            return render_cases_csv([c.record() for c in rep.cases]), code
+            return render_cases_csv(rep.cases), code
         return render_sweep_text(rep), code
     if args.n is None or args.k is None or args.root is None or args.u is None:
         raise ValueError("a single case needs all of --n --k --root --u")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Literal, Optional, Sequence
@@ -46,11 +46,10 @@ from .grassmann import (
     mask_of,
     part,
     size,
-    sorted_subsets,
     translate_fp,
 )
 from .perms import Perm, fmt_perm, inverse, parabolic_quotient, seidel_element
-from .quantum import qclass_records, seidel_degree, seidel_product_check
+from .quantum import SeidelCheck, qclass_records, seidel_degree, seidel_product_check
 
 Side = Literal["B", "Bminus"]
 
@@ -118,8 +117,8 @@ def gamma_fp(
     ``lam_b`` indexes the B-stable variety by dimension, ``lam_bm`` the
     opposite variety by codimension.
 
-    >>> sorted_subsets(gamma_fp((), (1,), 1, 2, 4))
-    ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
+    >>> fmt_subsets(gamma_fp((), (1,), 1, 2, 4))
+    ['1,2', '1,3', '1,4', '2,3', '2,4']
     """
     out: set[int] = set()
     for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
@@ -193,45 +192,35 @@ def v_from_gflags(chain: GFlagChain) -> Partition:
 class CaseReport:
     """Verdict for one (n, k, i, u) case of the neighborhood theorem.
 
-    The two fixed-point sets are kept as masks; ``gamma`` and ``target``
-    list them as sorted subsets, which only a failing record needs.
+    ``check`` is the case's product check, which holds its frame, degree
+    and target; the two fixed-point sets are kept as masks.  Only a
+    failing record lists the sets and the product's terms.
     """
 
     n: int
     k: int
     i: int
     u: Perm
-    beta: Optional[int]
-    dualized: bool
-    d: int
+    check: SeidelCheck
     checks: dict[str, bool]
     gamma_masks: frozenset[int]
     target_masks: frozenset[int]
-    target_partition: Partition
     v_partition: Optional[Partition]
-    product_terms: list[dict] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
 
-    @property
-    def gamma(self) -> tuple[tuple[int, ...], ...]:
-        return sorted_subsets(self.gamma_masks)
-
-    @property
-    def target(self) -> tuple[tuple[int, ...], ...]:
-        return sorted_subsets(self.target_masks)
-
     def record(self) -> dict:
+        frame = self.check.frame
         rec = {
             "n": self.n,
             "k": self.k,
             "i": self.i,
             "u": fmt_perm(self.u),
-            "beta": self.beta,
-            "dualized": self.dualized,
-            "d": self.d,
+            "beta": frame.beta,
+            "dualized": frame.dualized,
+            "d": frame.d,
             "pass": self.passed,
             "checks": dict(self.checks),
         }
@@ -241,13 +230,13 @@ class CaseReport:
                 "target": fmt_subsets(self.target_masks),
                 "gamma_minus_target": fmt_subsets(self.gamma_masks - self.target_masks),
                 "target_minus_gamma": fmt_subsets(self.target_masks - self.gamma_masks),
-                "target_partition": fmt_partition(self.target_partition),
+                "target_partition": fmt_partition(self.check.target),
                 "v_partition": None
                 if self.v_partition is None
                 else fmt_partition(self.v_partition),
                 "length_v": None if self.v_partition is None else size(self.v_partition),
-                "length_target": size(self.target_partition),
-                "product_terms": list(self.product_terms),
+                "length_target": size(self.check.target),
+                "product_terms": qclass_records(self.check.product),
             }
         return rec
 
@@ -298,15 +287,11 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         k=k,
         i=i,
         u=u,
-        beta=frame.beta,
-        dualized=frame.dualized,
-        d=d,
+        check=pcheck,
         checks=checks,
         gamma_masks=gamma,
         target_masks=target,
-        target_partition=target_partition,
         v_partition=v_partition,
-        product_terms=qclass_records(pcheck.product),
     )
 
 
@@ -323,8 +308,9 @@ def sweep_cases(n_max: int) -> list[tuple[int, int, int, Perm]]:
     return cases
 
 
-def _verify_tuple(case: tuple[int, int, int, Perm]) -> CaseReport:
-    return verify_case(*case)
+# module level so the pool can pickle it; workers send back records, not reports
+def _verify_record(case: tuple[int, int, int, Perm]) -> dict:
+    return verify_case(*case).record()
 
 
 def _usable_cpus() -> int:
@@ -339,37 +325,38 @@ DEFAULT_SEED = 0
 
 @dataclass
 class SweepReport:
-    """Aggregate of a verification sweep; case order is canonical and
-    independent of the worker count."""
+    """Aggregate of a verification sweep: one ``CaseReport.record()`` per
+    case, in canonical order whatever the worker count."""
 
     n_max: int
     mode: str
     sample_size: Optional[int]
     seed: Optional[int]
-    cases: list[CaseReport]
+    cases: list[dict]
 
     @property
     def total(self) -> int:
         return len(self.cases)
 
     @property
-    def failures(self) -> list[CaseReport]:
-        return [c for c in self.cases if not c.passed]
+    def failures(self) -> list[dict]:
+        return [c for c in self.cases if not c["pass"]]
 
     @property
     def all_passed(self) -> bool:
-        return not self.failures
+        return all(c["pass"] for c in self.cases)
 
     def record(self) -> dict:
+        fail = len(self.failures)
         return {
             "n_max": self.n_max,
             "mode": self.mode,
             "sample_size": self.sample_size,
             "seed": self.seed,
             "total": self.total,
-            "pass": self.total - len(self.failures),
-            "fail": len(self.failures),
-            "cases": [c.record() for c in self.cases],
+            "pass": self.total - fail,
+            "fail": fail,
+            "cases": self.cases,
         }
 
 
@@ -408,13 +395,13 @@ def sweep(
     if jobs is not None and jobs > 1 and len(cases) > 1:
         chunk = max(1, len(cases) // (jobs * 8))
         with Pool(jobs) as pool:
-            reports = pool.map(_verify_tuple, cases, chunksize=chunk)
+            records = pool.map(_verify_record, cases, chunksize=chunk)
     else:
-        reports = [verify_case(*case) for case in cases]
+        records = [_verify_record(case) for case in cases]
     return SweepReport(
         n_max=n_max,
         mode=mode,
         sample_size=sample_size,
         seed=seed,
-        cases=reports,
+        cases=records,
     )

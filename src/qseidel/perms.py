@@ -10,6 +10,7 @@ criterion, so no reduced words are ever built.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -206,6 +207,10 @@ def _quotient_index(n: int, roots: frozenset[int]) -> list[tuple[Perm, int, tupl
     return [(x, length(x), rank_table(x)) for x in parabolic_quotient(n, roots)]
 
 
+# the largest quotient ``join`` scans: every quotient of rank n <= 8 fits
+MAX_JOIN_SCAN = math.factorial(8)
+
+
 def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[Perm]:
     """Least upper bound of u and v inside the quotient poset, or None.
 
@@ -213,7 +218,8 @@ def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[P
     is the Bruhat order restricted to those representatives.  The common
     upper bounds are scanned and the join exists exactly when they have a
     least element.  None means no join (an explicit NoJoin outcome, not a
-    failure).
+    failure).  Incomparable u and v raise ValueError when the quotient
+    has more than ``MAX_JOIN_SCAN`` elements.
     """
     u = check_perm(u)
     v = check_perm(v, len(u))
@@ -226,6 +232,9 @@ def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[P
         return v
     if bruhat_leq(v, u):
         return u
+    count = math.factorial(n) // math.prod(math.factorial(len(b)) for b in position_blocks(n, rs))
+    if count > MAX_JOIN_SCAN:
+        raise ValueError(f"join scans at most {MAX_JOIN_SCAN} representatives, not {count}")
     tu, tv = rank_table(u), rank_table(v)
     floor = max(length(u), length(v)) + 1
     bounds = [

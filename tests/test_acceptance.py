@@ -57,7 +57,7 @@ def test_1_pinned_degree_case(capsys):
 
 
 def test_2_neighborhood_sweep(capsys, sweep8):
-    bad = [c for c in sweep8.cases if not c.checks["fp_equality"]]
+    bad = [c for c in sweep8.cases if not c["checks"]["fp_equality"]]
     ok = not bad and sweep8.total == 3514
     announce(
         capsys,
@@ -65,31 +65,36 @@ def test_2_neighborhood_sweep(capsys, sweep8):
         f"neighborhood == translated variety on {sweep8.total} cases (n <= 8)",
         ok,
     )
-    assert ok, [c.record() for c in bad[:5]]
+    assert ok, bad[:5]
 
 
 def test_3_single_term_products(capsys, sweep8):
-    bad = [c for c in sweep8.cases if not c.checks["product_single_term"]]
+    bad = [c for c in sweep8.cases if not c["checks"]["product_single_term"]]
     ok = not bad
     announce(capsys, "3/8", "every cocharacter product is one q-term", ok)
-    assert ok, [c.record() for c in bad[:5]]
+    assert ok, bad[:5]
 
 
 def test_4_flag_chain_consistency(capsys, sweep8):
     names = ("g_chain_containment", "v_match", "length_identity")
-    bad = [c for c in sweep8.cases if not all(c.checks[x] for x in names)]
+    bad = [c for c in sweep8.cases if not all(c["checks"][x] for x in names)]
     ok = not bad
     announce(capsys, "4/8", "flag chains carve out the right variety", ok)
-    assert ok, [c.record() for c in bad[:5]]
+    assert ok, bad[:5]
 
 
 def test_golden_csv_report(sweep8):
-    text = render_cases_csv([c.record() for c in sweep8.cases])
+    text = render_cases_csv(sweep8.cases)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_N8
 
 
 def test_golden_json_report(sweep8):
     text = dumps_json(sweep8.record())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_JSON_N8
+
+
+def test_golden_json_report_with_two_jobs():
+    text = dumps_json(sweep(8, jobs=2).record())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_JSON_N8
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qseidel import neighborhoods
+from qseidel import neighborhoods, perms
 from qseidel.cli import dumps_json, main, render_qclass_text
 from qseidel.quantum import QClass
 
@@ -202,6 +202,23 @@ class TestJoin:
             capsys,
         )
         assert code == 2 and err.startswith("error:")
+
+    def test_quotient_too_large_to_scan(self, capsys, monkeypatch):
+        # S_12 has 12! elements; the request is refused before any is built
+        def no_scan(*args):
+            raise AssertionError("the quotient was enumerated")
+
+        perms._quotient_index.cache_clear()
+        monkeypatch.setattr(perms, "parabolic_quotient", no_scan)
+        code, out, err = run(
+            [
+                "join", "--n", "12", "--w", "3,2,1,4,5,6,7,8,9,10,11,12",
+                "--roots-y", "1", "--roots-z", "2",
+            ],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: join scans at most 40320 representatives, not 479001600\n"
 
 
 class TestVerify:

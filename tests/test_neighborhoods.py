@@ -11,6 +11,7 @@ from qseidel.grassmann import (
     fp_schubert_bminus,
     mask_of,
     size,
+    sorted_subsets,
     subset_of,
 )
 from qseidel.neighborhoods import (
@@ -26,6 +27,7 @@ from qseidel.neighborhoods import (
     v_from_gflags,
     verify_case,
 )
+from qseidel.perms import parse_perm
 from qseidel.quantum import seidel_degree
 
 
@@ -205,29 +207,30 @@ class TestGFlagChain:
 class TestVerifyCase:
     def test_projective_line_cases(self):
         full = verify_case(2, 1, 1, (2, 1))
-        assert full.passed and full.d == 1
-        assert full.gamma == ((1,), (2,)) and full.target == ((1,), (2,))
+        assert full.passed and full.check.frame.d == 1
+        assert sorted_subsets(full.gamma_masks) == ((1,), (2,))
+        assert sorted_subsets(full.target_masks) == ((1,), (2,))
         fixed = verify_case(2, 1, 1, (1, 2))
-        assert fixed.passed and fixed.d == 0
-        assert fixed.gamma == ((1,),)
+        assert fixed.passed and fixed.check.frame.d == 0
+        assert sorted_subsets(fixed.gamma_masks) == ((1,),)
 
     def test_worked_case(self):
         rep = verify_case(4, 2, 2, (1, 3, 2, 4))
-        assert rep.passed and rep.d == 1 and rep.beta == 2
-        assert not rep.dualized
-        assert rep.target_partition == (1,)
+        assert rep.passed and rep.check.frame.d == 1 and rep.check.frame.beta == 2
+        assert not rep.check.frame.dualized
+        assert rep.check.target == (1,)
         assert rep.v_partition == (1,)
-        assert rep.gamma == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
+        assert sorted_subsets(rep.gamma_masks) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
         assert set(rep.checks) == set(CHECK_NAMES)
 
     def test_identity_root_case(self):
         rep = verify_case(4, 2, 0, (2, 4, 1, 3))
-        assert rep.passed and rep.d == 0 and rep.beta is None
-        assert rep.target_partition == (2, 1)
+        assert rep.passed and rep.check.frame.d == 0 and rep.check.frame.beta is None
+        assert rep.check.target == (2, 1)
 
     def test_dualized_case(self):
         rep = verify_case(4, 3, 1, (1, 2, 3, 4))
-        assert rep.dualized and rep.beta == 3
+        assert rep.check.frame.dualized and rep.check.frame.beta == 3
         assert rep.passed, rep.checks
 
     def test_rejects_bad_input(self):
@@ -243,6 +246,13 @@ class TestVerifyCase:
         assert "counterexample_detail" not in rec
         assert set(rec["checks"]) == set(CHECK_NAMES)
 
+    def test_passing_record_skips_the_product_terms(self, monkeypatch):
+        def no_terms(product):
+            raise AssertionError("a passing record formatted the product")
+
+        monkeypatch.setattr(neighborhoods, "qclass_records", no_terms)
+        assert verify_case(4, 2, 2, (1, 3, 2, 4)).record()["pass"] is True
+
     def test_record_detail_on_failure(self):
         rep = verify_case(4, 2, 2, (1, 3, 2, 4))
         broken = CaseReport(
@@ -250,15 +260,11 @@ class TestVerifyCase:
             k=rep.k,
             i=rep.i,
             u=rep.u,
-            beta=rep.beta,
-            dualized=rep.dualized,
-            d=rep.d,
+            check=rep.check,
             checks={**rep.checks, "fp_equality": False},
             gamma_masks=rep.gamma_masks,
-            target_masks=frozenset(mask_of(s) for s in rep.target[:3]),
-            target_partition=rep.target_partition,
+            target_masks=frozenset(mask_of(s) for s in sorted_subsets(rep.target_masks)[:3]),
             v_partition=rep.v_partition,
-            product_terms=rep.product_terms,
         )
         rec = broken.record()
         assert rec["pass"] is False
@@ -290,8 +296,8 @@ class TestVerifyCase:
     def test_cardinality_invariant(self):
         for n, k, i, u in sweep_cases(4):
             rep = verify_case(n, k, i, u)
-            expect = len(fp_schubert_bminus(rep.target_partition, k, n))
-            assert len(rep.gamma) == expect
+            expect = len(fp_schubert_bminus(rep.check.target, k, n))
+            assert len(rep.gamma_masks) == expect
 
 
 @pytest.fixture
@@ -360,7 +366,7 @@ class TestSweep:
         assert report.all_passed
         assert report.record()["fail"] == 0
         assert [
-            (c.n, c.k, c.i, c.u) for c in report.cases
+            (c["n"], c["k"], c["i"], parse_perm(c["u"])) for c in report.cases
         ] == sweep_cases(3)
 
     def test_sampled_deterministic(self):
@@ -368,7 +374,7 @@ class TestSweep:
         b = sweep(4, mode="sampled", sample_size=10, seed=123)
         assert a.record() == b.record()
         assert a.total == 10
-        picked = [(c.n, c.k, c.i, c.u) for c in a.cases]
+        picked = [(c["n"], c["k"], c["i"], parse_perm(c["u"])) for c in a.cases]
         assert picked == sorted(picked)
         assert set(picked) <= set(sweep_cases(4))
 
@@ -380,6 +386,11 @@ class TestSweep:
     def test_sample_larger_than_population(self):
         report = sweep(2, mode="sampled", sample_size=99, seed=1)
         assert report.total == 4
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_cases_are_the_case_records(self, jobs):
+        expect = [verify_case(*case).record() for case in sweep_cases(4)]
+        assert sweep(4, jobs=jobs).cases == expect
 
     def test_worker_count_invisible(self):
         serial = sweep(3, jobs=1).record()

@@ -217,6 +217,14 @@ class TestJoin:
         with pytest.raises(ValueError):
             join((2, 1, 3), (1, 2, 3), frozenset({1}))
 
+    def test_scan_bound_counts_the_quotient_not_the_rank(self):
+        # rank 9 with a block of six: 9!/6! = 504 representatives to scan
+        w = (3, 2, 9, 1, 4, 5, 8, 7, 6)
+        uy = min_coset_rep(w, {1, 2, 3, 4, 5, 7})
+        uz = min_coset_rep(w, {1, 2, 3, 4, 5, 8})
+        assert not bruhat_leq(uy, uz) and not bruhat_leq(uz, uy)
+        assert join(uy, uz, {1, 2, 3, 4, 5}) == min_coset_rep(w, {1, 2, 3, 4, 5})
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_naive_oracle(self, n):
         for rs in powerset(range(1, n)):
