@@ -10,8 +10,6 @@ criterion, so no reduced words are ever built.
 from __future__ import annotations
 
 import itertools
-import math
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -201,25 +199,20 @@ def parabolic_quotient(n: int, roots: Iterable[int]) -> list[Perm]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _quotient_index(n: int, roots: frozenset[int]) -> list[tuple[Perm, int, tuple[int, ...]]]:
-    # (perm, length, rank table) per representative; cached per parabolic
-    return [(x, length(x), rank_table(x)) for x in parabolic_quotient(n, roots)]
-
-
-# the largest quotient ``join`` scans: every quotient of rank n <= 8 fits
-MAX_JOIN_SCAN = math.factorial(8)
-
-
 def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[Perm]:
     """Least upper bound of u and v inside the quotient poset, or None.
 
     u and v must be minimal coset representatives for ``roots``; the poset
-    is the Bruhat order restricted to those representatives.  The common
-    upper bounds are scanned and the join exists exactly when they have a
-    least element.  None means no join (an explicit NoJoin outcome, not a
-    failure).  Incomparable u and v raise ValueError when the quotient
-    has more than ``MAX_JOIN_SCAN`` elements.
+    is the Bruhat order restricted to those representatives, which compares
+    rank-table rows only at the cut positions (the last position of every
+    block but the final one).  At each cut row c the entrywise maximum of
+    the rows of u and v is the row of a c-element set S_c.  When these sets
+    nest, the join lists each block's new elements S_c - S_prev in
+    ascending order; otherwise there is no join and the result is None (an
+    explicit NoJoin outcome, not a failure).  This follows Lascoux and
+    Schützenberger, "Treillis et bases des groupes de Coxeter" (Electron.
+    J. Combin. 1996): the join in the lattice completion of the Bruhat
+    order is the entrywise maximum of corner sums.
     """
     u = check_perm(u)
     v = check_perm(v, len(u))
@@ -228,25 +221,26 @@ def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[P
     for w in (u, v):
         if not is_min_coset_rep(w, rs):
             raise ValueError(f"not a minimal coset representative: {w}")
-    if bruhat_leq(u, v):
-        return v
-    if bruhat_leq(v, u):
-        return u
-    count = math.factorial(n) // math.prod(math.factorial(len(b)) for b in position_blocks(n, rs))
-    if count > MAX_JOIN_SCAN:
-        raise ValueError(f"join scans at most {MAX_JOIN_SCAN} representatives, not {count}")
-    tu, tv = rank_table(u), rank_table(v)
-    floor = max(length(u), length(v)) + 1
-    bounds = [
-        (x, lx, tx)
-        for x, lx, tx in _quotient_index(n, rs)
-        if lx >= floor and table_leq(tu, tx) and table_leq(tv, tx)
-    ]
-    # never empty: the quotient's longest element bounds u and v
-    m, _, tm = min(bounds, key=lambda b: b[1])
-    if all(table_leq(tm, tx) for _, _, tx in bounds):
-        return m
-    return None
+    out: list[int] = []
+    prev: set[int] = set()
+    for blk in position_blocks(n, rs)[:-1]:
+        c = blk[-1]
+        su, sv = set(u[:c]), set(v[:c])
+        # walk j = n..1: each count of {t <= c : w(t) >= j} rises by 0 or 1
+        # per step, so their maximum does too, and j is in S_c when it rises
+        cur: set[int] = set()
+        a = b = 0
+        for j in range(n, 0, -1):
+            a += j in su
+            b += j in sv
+            if max(a, b) > len(cur):
+                cur.add(j)
+        if not prev <= cur:
+            return None
+        out.extend(sorted(cur - prev))
+        prev = cur
+    out.extend(sorted(set(range(1, n + 1)) - prev))
+    return tuple(out)
 
 
 def seidel_generator(n: int) -> Perm:

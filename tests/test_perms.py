@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -217,13 +218,29 @@ class TestJoin:
         with pytest.raises(ValueError):
             join((2, 1, 3), (1, 2, 3), frozenset({1}))
 
-    def test_scan_bound_counts_the_quotient_not_the_rank(self):
-        # rank 9 with a block of six: 9!/6! = 504 representatives to scan
+    def test_rank_9_projections_join_to_the_meet_projection(self):
+        # incomparable projections of w onto two parabolics with a block of six
         w = (3, 2, 9, 1, 4, 5, 8, 7, 6)
         uy = min_coset_rep(w, {1, 2, 3, 4, 5, 7})
         uz = min_coset_rep(w, {1, 2, 3, 4, 5, 8})
         assert not bruhat_leq(uy, uz) and not bruhat_leq(uz, uy)
         assert join(uy, uz, {1, 2, 3, 4, 5}) == min_coset_rep(w, {1, 2, 3, 4, 5})
+
+    @given(
+        st.integers(7, 12).flatmap(
+            lambda n: st.tuples(
+                st.permutations(list(range(1, n + 1))),
+                st.frozensets(st.integers(1, n - 1)),
+                st.frozensets(st.integers(1, n - 1)),
+            )
+        )
+    )
+    def test_projections_join_to_the_meet_projection_at_high_rank(self, case):
+        w, ry, rz = case
+        uy, uz = min_coset_rep(w, ry), min_coset_rep(w, rz)
+        x = join(uy, uz, ry & rz)
+        assert x == min_coset_rep(w, ry & rz)
+        assert bruhat_leq(uy, x) and bruhat_leq(uz, x)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_naive_oracle(self, n):
@@ -233,6 +250,14 @@ class TestJoin:
             for u in quotient:
                 for v in quotient:
                     assert join(u, v, roots) == oracle_join(u, v, roots, n)
+
+    def test_matches_naive_oracle_sampled_at_rank_5(self):
+        rng = random.Random(0)
+        for _ in range(500):
+            roots = frozenset(r for r in range(1, 5) if rng.random() < 0.5)
+            quotient = parabolic_quotient(5, roots)
+            u, v = rng.choice(quotient), rng.choice(quotient)
+            assert join(u, v, roots) == oracle_join(u, v, roots, 5)
 
 
 class TestSeidel:
