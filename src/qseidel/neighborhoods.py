@@ -14,10 +14,13 @@ compared: the neighborhood is T-stable but in general not B-stable (at
 d = 0 it is a Richardson variety), so equal fixed points alone do not
 identify the two varieties.
 
-Subsets of a mask are enumerated as sums of its single-bit values.  The
-projection of the rectangle side depends only on (beta, k, n, d) and is
-cached; the opposite side changes with every case, so caching it would
-only hold memory.
+Subsets of a mask are enumerated as sums of its single-bit values.  A
+projection is a ``Projection``: membership of a pair is one lookup of
+its Gale-extremal member, and pairs are listed only on demand.  The
+projection of the rectangle side depends only on (beta, k, n, d); it is
+cached, and so are its listed pairs.  The opposite side changes with
+every case and is never listed: ``fp_richardson`` keeps the rectangle
+side's pairs whose extremal member is one of its fixed points.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from bisect import bisect_right
+from collections import abc, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import comb
 from multiprocessing import Pool
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 from .grassmann import (
     MAX_RANK,
@@ -67,37 +73,133 @@ def _check_degree(d: int, k: int, n: int) -> None:
         raise ValueError(f"need 0 <= d <= min(k, n-k), got d={d}, k={k}, n={n}")
 
 
-def fp_projected_schubert(
-    side: Side, lam: Iterable[int], d: int, k: int, n: int
-) -> frozenset[tuple[int, int]]:
+class Projection(abc.Set):
     """Fixed points (A, B) of the two-step image of a Schubert variety.
 
     A pair qualifies when some k-subset C with A subseteq C subseteq B is
-    a fixed point of the variety; |A| = k-d and |B| = k+d.
+    in ``fps``; |A| = k-d and |B| = k+d.  The k-subsets between A and B
+    have a Gale-least member, A plus the d least elements of B - A, and a
+    Gale-greatest one, A plus the d greatest.  The fixed points of a
+    B-stable variety (side "B") form a Gale down-set and those of an
+    opposite variety (side "Bminus") an up-set, so a pair qualifies
+    exactly when its near extremal member (least for "B", greatest for
+    "Bminus") is in ``fps``: membership is one lookup.
+
+    Pairs are listed only on demand, each once, from its near extremal
+    member C: split C into A and d elements L, then add d elements U from
+    outside C beyond L (above max L for "B", below min L for "Bminus"),
+    so that L stays the near part of B - A.  ``groups`` holds the pairs
+    keyed by their far extremal member A + U, so ``P & Q`` for the two
+    opposite sides reads only the groups whose key is a fixed point of Q.
+    """
+
+    def __init__(self, side: Side, fps: frozenset[int], d: int, k: int, n: int) -> None:
+        self.side, self.fps, self.d, self.k, self.n = side, fps, d, k, n
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+        return frozenset(it)
+
+    def __contains__(self, pair: object) -> bool:
+        try:
+            a, b = pair  # type: ignore[misc]
+        except (TypeError, ValueError):
+            return False
+        if not (isinstance(a, int) and isinstance(b, int)) or b >> self.n or a & ~b:
+            return False
+        if a.bit_count() != self.k - self.d or b.bit_count() != self.k + self.d:
+            return False
+        between = bit_values(b ^ a)
+        near = between[: self.d] if self.side == "B" else between[self.d :]
+        return a | sum(near) in self.fps
+
+    @cached_property
+    def groups(self) -> dict[int, list[tuple[int, int]]]:
+        return _list_pairs(self.side, self.fps, self.d, self.n)
+
+    @cached_property
+    def _size(self) -> int:
+        return _count_pairs(self.side, self.fps, self.d, self.k, self.n)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return itertools.chain.from_iterable(self.groups.values())
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __and__(self, other: object) -> frozenset[tuple[int, int]]:
+        if (
+            isinstance(other, Projection)
+            and other.side != self.side
+            and (other.d, other.k, other.n) == (self.d, self.k, self.n)
+        ):
+            groups = self.groups
+            return frozenset(
+                itertools.chain.from_iterable(groups[g] for g in groups.keys() & other.fps)
+            )
+        return super().__and__(other)
+
+
+def _list_pairs(side: Side, fps: Iterable[int], d: int, n: int) -> dict[int, list[tuple[int, int]]]:
+    if d == 0:
+        return {c: [(c, c)] for c in fps}
+    full = (1 << n) - 1
+    groups: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for c in fps:
+        outside = full ^ c
+        for near in itertools.combinations(bit_values(c), d):
+            a = c - sum(near)
+            # -(2m) keeps the bits above m; m - 1 the bits below it
+            free = outside & (-(near[-1] << 1) if side == "B" else near[0] - 1)
+            for far in itertools.combinations(bit_values(free), d):
+                u = sum(far)
+                groups[a | u].append((a, c | u))
+    return dict(groups)
+
+
+def _count_pairs(side: Side, fps: Iterable[int], d: int, k: int, n: int) -> int:
+    """``len`` of a projection without listing it.
+
+    A pair is counted from C and its near part L as in ``_list_pairs``.
+    For "B", the L whose largest element is the j-th element e of C
+    number comb(j-1, d-1) and leave n-e-(k-j) free elements; for
+    "Bminus" the L whose least element is e number comb(k-j, d-1) and
+    leave e-j free elements.
+    """
+    if d == 0:
+        return len(fps)
+    total = 0
+    for c in fps:
+        for j, bit in enumerate(bit_values(c), start=1):
+            e = bit.bit_length()
+            if side == "B":
+                total += comb(j - 1, d - 1) * comb(n - e - (k - j), d)
+            else:
+                total += comb(k - j, d - 1) * comb(e - j, d)
+    return total
+
+
+def fp_projected_schubert(side: Side, lam: Iterable[int], d: int, k: int, n: int) -> Projection:
+    """Fixed points (A, B) of the two-step image of a Schubert variety,
+    as a ``Projection``: a set that tests a pair with one lookup.
+
+    ``lam`` indexes the B-stable variety (side "B") by dimension and the
+    opposite variety (side "Bminus") by codimension.
     """
     lam = check_box(lam, k, n)
     _check_degree(d, k, n)
     if side == "B":
         return _projected_b(lam, d, k, n)
     if side == "Bminus":
-        return _project(fp_schubert_bminus(lam, k, n), d, n)
+        return Projection(side, fp_schubert_bminus(lam, k, n), d, k, n)
     raise ValueError(f"side must be 'B' or 'Bminus': {side!r}")
 
 
-# An exhaustive sweep needs one projection per degree of its (n, k, i) block.
+# An exhaustive sweep needs one projection per degree of its (n, k, i) block;
+# the cached projection keeps its listed pairs for the block's later cases.
 @lru_cache(maxsize=16)
-def _projected_b(lam: Partition, d: int, k: int, n: int) -> frozenset[tuple[int, int]]:
-    return _project(fp_schubert_b(lam, k, n), d, n)
-
-
-def _project(fps: Iterable[int], d: int, n: int) -> frozenset[tuple[int, int]]:
-    full = (1 << n) - 1
-    pairs: set[tuple[int, int]] = set()
-    for c in fps:
-        amasks = [c ^ sum(x) for x in itertools.combinations(bit_values(c), d)]
-        bmasks = [c | sum(x) for x in itertools.combinations(bit_values(full ^ c), d)]
-        pairs.update(itertools.product(amasks, bmasks))
-    return frozenset(pairs)
+def _projected_b(lam: Partition, d: int, k: int, n: int) -> Projection:
+    return Projection("B", fp_schubert_b(lam, k, n), d, k, n)
 
 
 def fp_richardson(
@@ -295,21 +397,60 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
     )
 
 
-def sweep_cases(n_max: int) -> list[tuple[int, int, int, Perm]]:
-    """All (n, k, i, u) cases with 2 <= n <= n_max, in canonical order."""
-    if not 2 <= n_max <= MAX_RANK:
-        raise ValueError(f"need 2 <= n_max <= {MAX_RANK} (the rank cap), got {n_max}")
-    cases = []
-    for n in range(2, n_max + 1):
-        for k in range(1, n):
-            reps = parabolic_quotient(n, frozenset(range(1, n)) - {k})
+Case = tuple[int, int, int, Perm]
+
+
+class SweepCases(abc.Sequence):
+    """All (n, k, i, u) cases with 2 <= n <= n_max, in canonical order.
+
+    The cases run in (n, k) blocks of n * comb(n, k), one per i and
+    minimal representative u.  Only block offsets are held: an index
+    builds the parabolic quotient of its own block, so sampling a few
+    cases never lists the other blocks.
+    """
+
+    def __init__(self, n_max: int) -> None:
+        if not 2 <= n_max <= MAX_RANK:
+            raise ValueError(f"need 2 <= n_max <= {MAX_RANK} (the rank cap), got {n_max}")
+        self.blocks = [(n, k) for n in range(2, n_max + 1) for k in range(1, n)]
+        self.starts = list(
+            itertools.accumulate((n * comb(n, k) for n, k in self.blocks), initial=0)
+        )
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, j: int) -> Case:
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"case index out of range: {j}")
+        b = bisect_right(self.starts, j) - 1
+        n, k = self.blocks[b]
+        i, r = divmod(j - self.starts[b], comb(n, k))
+        return (n, k, i, _block_reps(n, k)[r])
+
+    def __iter__(self) -> Iterator[Case]:
+        for n, k in self.blocks:
+            reps = _block_reps(n, k)
             for i in range(n):
-                cases.extend((n, k, i, u) for u in reps)
-    return cases
+                for u in reps:
+                    yield (n, k, i, u)
+
+
+@lru_cache(maxsize=4)
+def _block_reps(n: int, k: int) -> tuple[Perm, ...]:
+    return tuple(parabolic_quotient(n, frozenset(range(1, n)) - {k}))
+
+
+def sweep_cases(n_max: int) -> SweepCases:
+    """All (n, k, i, u) cases with 2 <= n <= n_max, in canonical order,
+    as a lazy sequence."""
+    return SweepCases(n_max)
 
 
 # module level so the pool can pickle it; workers send back records, not reports
-def _verify_record(case: tuple[int, int, int, Perm]) -> dict:
+def _verify_record(case: Case) -> dict:
     return verify_case(*case).record()
 
 

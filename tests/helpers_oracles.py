@@ -168,6 +168,21 @@ def oracle_gamma(fp_b: frozenset[int], fp_bm: frozenset[int], d: int, k: int, n:
     return frozenset(out)
 
 
+def oracle_projection(fps, d: int, k: int, n: int) -> frozenset[tuple[int, int]]:
+    """Projected fixed points from the raw definition: every (A, B) with
+    |A| = k-d, |B| = k+d and A <= C <= B for some C in ``fps``, found by
+    scanning all pairs, with no use of the Gale order."""
+    universe = range(1, n + 1)
+    out = set()
+    for a_t in itertools.combinations(universe, k - d):
+        a = mask_of(a_t)
+        for b_t in itertools.combinations(universe, k + d):
+            b = mask_of(b_t)
+            if a & b == a and any(a & c == a and c & b == c for c in fps):
+                out.add((a, b))
+    return frozenset(out)
+
+
 def box_pairs(k, n):
     """All ordered pairs of partitions in the k x (n-k) box."""
     parts = box_partitions(k, n)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from qseidel.cli import dumps_json, render_cases_csv
+from qseidel.cli import dumps_json, main, render_cases_csv
 from qseidel.grassmann import (
     box_complement,
     box_partitions,
@@ -35,6 +35,8 @@ RANKS_6 = [(k, n) for n in range(2, 7) for k in range(1, n)]
 # sha256 of ``qseidel verify --n-max 8 --format csv`` and ``--format json``
 GOLDEN_CSV_N8 = "221bec92354c03345c50246336259400e5bd68243f37da0a9cc43847ca8d250f"
 GOLDEN_JSON_N8 = "ffe506bdf065ba9bfaec2cb9461460ee78ff3dbf14c118e54d64b3b912c59cd4"
+# sha256 of ``qseidel verify --n-max 16 --mode sampled --sample-size 10 --format json``
+GOLDEN_JSON_N16_SAMPLED = "c6c9fe5eba09a6e656e63f9f340a8bb678be89c95b3977020068e4251b1cafec"
 
 
 def announce(capsys, ident: str, label: str, ok: bool) -> None:
@@ -96,6 +98,13 @@ def test_golden_json_report(sweep8):
 def test_golden_json_report_with_two_jobs():
     text = dumps_json(sweep(8, jobs=2).record())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_JSON_N8
+
+
+def test_golden_json_report_sampled_n16(capsys):
+    argv = ["verify", "--n-max", "16", "--mode", "sampled", "--sample-size", "10", "--format", "json"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_JSON_N16_SAMPLED
 
 
 def test_5_join_of_projections(capsys):

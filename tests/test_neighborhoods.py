@@ -1,8 +1,10 @@
+import functools
+import itertools
 import random
 
 import pytest
 
-from helpers_oracles import oracle_gamma
+from helpers_oracles import oracle_gamma, oracle_projection
 from qseidel import grassmann, neighborhoods
 from qseidel.cli import render_case_text
 from qseidel.grassmann import (
@@ -27,7 +29,7 @@ from qseidel.neighborhoods import (
     v_from_gflags,
     verify_case,
 )
-from qseidel.perms import parse_perm
+from qseidel.perms import parabolic_quotient, parse_perm
 from qseidel.quantum import seidel_degree
 
 
@@ -85,6 +87,93 @@ class TestRichardson:
         common = fp_schubert_b((2, 1), 2, 4) & fp_schubert_bminus((1,), 2, 4)
         assert fp_richardson((2, 1), (1,), 0, 2, 4) == frozenset(
             (c, c) for c in common
+        )
+
+
+RANKS_6 = [(k, n) for n in range(2, 7) for k in range(1, n)]
+SIDES = ("B", "Bminus")
+
+
+@functools.lru_cache(maxsize=None)
+def expected_projection(side, lam, d, k, n):
+    fps = fp_schubert_b(lam, k, n) if side == "B" else fp_schubert_bminus(lam, k, n)
+    return oracle_projection(fps, d, k, n)
+
+
+def projection_cases():
+    """(side, lam, d, k, n) for every side, box partition and degree up to n = 6."""
+    for k, n in RANKS_6:
+        for lam in box_partitions(k, n):
+            for d in range(min(k, n - k) + 1):
+                for side in SIDES:
+                    yield side, lam, d, k, n
+
+
+class TestProjectionOracle:
+    """``Projection`` against pairs scanned from the raw definition."""
+
+    def test_listing_and_length_match_oracle(self):
+        for side, lam, d, k, n in projection_cases():
+            proj = fp_projected_schubert(side, lam, d, k, n)
+            expect = expected_projection(side, lam, d, k, n)
+            listed = list(proj)
+            assert len(listed) == len(set(listed))  # each pair listed once
+            assert set(listed) == expect
+            assert len(proj) == len(expect)
+            assert proj == expect
+
+    def test_membership_matches_oracle(self):
+        for side, lam, d, k, n in projection_cases():
+            proj = fp_projected_schubert(side, lam, d, k, n)
+            expect = expected_projection(side, lam, d, k, n)
+            inner = [mask_of(t) for t in itertools.combinations(range(1, n + 1), k - d)]
+            outer = [mask_of(t) for t in itertools.combinations(range(1, n + 1), k + d)]
+            # every pair of the right sizes, nested or not
+            for a in inner:
+                for b in outer:
+                    assert ((a, b) in proj) == ((a, b) in expect)
+
+    def test_membership_rejects_wrong_shapes(self):
+        for side, lam, d, k, n in projection_cases():
+            proj = fp_projected_schubert(side, lam, d, k, n)
+            for a, b in expected_projection(side, lam, d, k, n):
+                assert (a, b) in proj
+                assert (a, b | 1 << n) not in proj  # B holds an element beyond n
+                if a:
+                    assert (a & (a - 1), b) not in proj  # A one element short
+                outside = ((1 << n) - 1) ^ b
+                if outside:
+                    assert (a, b | outside & -outside) not in proj  # B one too many
+                assert (a, b, 0) not in proj
+                assert a not in proj
+
+    def test_intersection_matches_oracle(self):
+        for k, n in RANKS_6:
+            parts = box_partitions(k, n)
+            for d in range(min(k, n - k) + 1):
+                for lb in parts:
+                    p = fp_projected_schubert("B", lb, d, k, n)
+                    for lbm in parts:
+                        q = fp_projected_schubert("Bminus", lbm, d, k, n)
+                        both = expected_projection("B", lb, d, k, n) & expected_projection(
+                            "Bminus", lbm, d, k, n
+                        )
+                        assert p & q == both
+                        assert q & p == both
+
+    def test_other_intersections_fall_back_to_frozensets(self):
+        p = fp_projected_schubert("B", (), 1, 2, 4)
+        plain = frozenset(list(p)[:2])
+        assert p & plain == plain and isinstance(p & plain, frozenset)
+        assert plain & p == plain and isinstance(plain & p, frozenset)
+        same_side = p & fp_projected_schubert("B", (1,), 1, 2, 4)
+        assert isinstance(same_side, frozenset)
+        assert same_side == expected_projection("B", (), 1, 2, 4)
+        # opposite sides of different ranks: the Set mixin, pair by pair
+        other_rank = p & fp_projected_schubert("Bminus", (1,), 1, 2, 5)
+        assert isinstance(other_rank, frozenset)
+        assert other_rank == expected_projection("B", (), 1, 2, 4) & expected_projection(
+            "Bminus", (1,), 1, 2, 5
         )
 
 
@@ -325,7 +414,7 @@ def pool_sizes(monkeypatch):
 
 class TestSweep:
     def test_case_enumeration(self):
-        assert sweep_cases(2) == [
+        assert list(sweep_cases(2)) == [
             (2, 1, 0, (1, 2)),
             (2, 1, 0, (2, 1)),
             (2, 1, 1, (1, 2)),
@@ -334,6 +423,42 @@ class TestSweep:
         counts = {2: 4, 3: 22, 4: 78}
         for n_max, total in counts.items():
             assert len(sweep_cases(n_max)) == total
+
+    def test_indexing_matches_iteration(self):
+        counts = {2: 4, 3: 22, 4: 78, 5: 228, 6: 600, 7: 1482}
+        for n_max, total in counts.items():
+            seq = sweep_cases(n_max)
+            listed = list(seq)
+            assert len(seq) == len(listed) == total
+            assert [seq[j] for j in range(len(seq))] == listed
+            assert seq[-1] == listed[-1]
+            with pytest.raises(IndexError):
+                seq[len(seq)]
+            with pytest.raises(IndexError):
+                seq[-len(seq) - 1]
+
+    @pytest.mark.parametrize("n_max", [5, 7])
+    def test_sampling_reads_like_a_list(self, n_max):
+        seq = sweep_cases(n_max)
+        listed = list(seq)
+        for seed in (0, 1, 7, 123):
+            for m in (1, 5, 10, 60, len(listed)):
+                assert random.Random(seed).sample(seq, m) == random.Random(seed).sample(listed, m)
+
+    def test_sampling_builds_only_the_sampled_blocks(self, monkeypatch):
+        built = []
+
+        def counting_quotient(n, roots):
+            built.append(n)
+            return parabolic_quotient(n, roots)
+
+        neighborhoods._block_reps.cache_clear()
+        monkeypatch.setattr(neighborhoods, "parabolic_quotient", counting_quotient)
+        monkeypatch.setattr(neighborhoods, "_verify_record", lambda case: {"pass": True})
+        report = sweep(16, mode="sampled", sample_size=10)
+        assert report.total == 10
+        assert 1 <= len(built) <= 10
+        neighborhoods._block_reps.cache_clear()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -367,7 +492,7 @@ class TestSweep:
         assert report.record()["fail"] == 0
         assert [
             (c["n"], c["k"], c["i"], parse_perm(c["u"])) for c in report.cases
-        ] == sweep_cases(3)
+        ] == list(sweep_cases(3))
 
     def test_sampled_deterministic(self):
         a = sweep(4, mode="sampled", sample_size=10, seed=123)
