@@ -18,9 +18,10 @@ Subsets of a mask are enumerated as sums of its single-bit values.  A
 projection is a ``Projection``: membership of a pair is one lookup of
 its Gale-extremal member, and pairs are listed only on demand.  The
 projection of the rectangle side depends only on (beta, k, n, d); it is
-cached, and so are its listed pairs.  The opposite side changes with
-every case and is never listed: ``fp_richardson`` keeps the rectangle
-side's pairs whose extremal member is one of its fixed points.
+cached, and so is its index of extremal members by inner set, built at
+most once per sweep block.  Neither side is listed pair by pair:
+``fp_richardson`` joins the rectangle side's index with the opposite
+side's fixed points on their shared inner set.
 """
 
 from __future__ import annotations
@@ -78,19 +79,23 @@ class Projection(abc.Set):
 
     A pair qualifies when some k-subset C with A subseteq C subseteq B is
     in ``fps``; |A| = k-d and |B| = k+d.  The k-subsets between A and B
-    have a Gale-least member, A plus the d least elements of B - A, and a
-    Gale-greatest one, A plus the d greatest.  The fixed points of a
+    have a Gale-least member, A plus the d least elements L of B - A, and
+    a Gale-greatest one, A plus the d greatest U.  The fixed points of a
     B-stable variety (side "B") form a Gale down-set and those of an
     opposite variety (side "Bminus") an up-set, so a pair qualifies
-    exactly when its near extremal member (least for "B", greatest for
+    exactly when its near extremal member (A + L for "B", A + U for
     "Bminus") is in ``fps``: membership is one lookup.
 
-    Pairs are listed only on demand, each once, from its near extremal
-    member C: split C into A and d elements L, then add d elements U from
-    outside C beyond L (above max L for "B", below min L for "Bminus"),
-    so that L stays the near part of B - A.  ``groups`` holds the pairs
-    keyed by their far extremal member A + U, so ``P & Q`` for the two
-    opposite sides reads only the groups whose key is a fixed point of Q.
+    ``inner`` indexes the near extremal members by their inner set: it
+    maps A = C - N, for C in ``fps`` and every d-subset N of C, to the
+    near parts N with their edge bit (max N for "B", min N for
+    "Bminus").  Pairs are listed from it, each once: add d far elements
+    from outside C beyond the edge, so that N stays the near part.  For
+    the two opposite sides, ``P & Q`` is a join on A: it streams the
+    "Bminus" fixed points M, splits off each d-subset U as the far part,
+    and keeps the near parts L of the "B" index at A = M - U with
+    max L < min U, which gives the pair (A, M + L).  Neither side is
+    listed pair by pair.
     """
 
     def __init__(self, side: Side, fps: frozenset[int], d: int, k: int, n: int) -> None:
@@ -114,15 +119,28 @@ class Projection(abc.Set):
         return a | sum(near) in self.fps
 
     @cached_property
-    def groups(self) -> dict[int, list[tuple[int, int]]]:
-        return _list_pairs(self.side, self.fps, self.d, self.n)
+    def inner(self) -> dict[int, list[tuple[int, int]]]:
+        end = -1 if self.side == "B" else 0
+        index: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for c in self.fps:
+            for near in itertools.combinations(bit_values(c), self.d):
+                near_mask = sum(near)
+                index[c - near_mask].append((near[end] if near else 0, near_mask))
+        return dict(index)
 
     @cached_property
     def _size(self) -> int:
         return _count_pairs(self.side, self.fps, self.d, self.k, self.n)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return itertools.chain.from_iterable(self.groups.values())
+        full, d = (1 << self.n) - 1, self.d
+        for a, parts in self.inner.items():
+            for edge, near in parts:
+                c = a | near
+                # -(2e) keeps the bits above e; e - 1 the bits below it
+                free = (full ^ c) & (-(edge << 1) if self.side == "B" else edge - 1)
+                for far in itertools.combinations(bit_values(free), d):
+                    yield (a, c | sum(far))
 
     def __len__(self) -> int:
         return self._size
@@ -133,34 +151,34 @@ class Projection(abc.Set):
             and other.side != self.side
             and (other.d, other.k, other.n) == (self.d, self.k, self.n)
         ):
-            groups = self.groups
-            return frozenset(
-                itertools.chain.from_iterable(groups[g] for g in groups.keys() & other.fps)
-            )
+            if self.d == 0:
+                return frozenset((c, c) for c in self.fps & other.fps)
+            b_side, bm_side = (self, other) if self.side == "B" else (other, self)
+            return _join(b_side.inner, bm_side.fps, self.d)
         return super().__and__(other)
 
 
-def _list_pairs(side: Side, fps: Iterable[int], d: int, n: int) -> dict[int, list[tuple[int, int]]]:
-    if d == 0:
-        return {c: [(c, c)] for c in fps}
-    full = (1 << n) - 1
-    groups: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for c in fps:
-        outside = full ^ c
-        for near in itertools.combinations(bit_values(c), d):
-            a = c - sum(near)
-            # -(2m) keeps the bits above m; m - 1 the bits below it
-            free = outside & (-(near[-1] << 1) if side == "B" else near[0] - 1)
-            for far in itertools.combinations(bit_values(free), d):
-                u = sum(far)
-                groups[a | u].append((a, c | u))
-    return dict(groups)
+def _join(
+    inner: dict[int, list[tuple[int, int]]], fps: Iterable[int], d: int
+) -> frozenset[tuple[int, int]]:
+    """Pairs (A, M + L) with M in ``fps`` (the "Bminus" side), A = M - U for
+    a d-subset U of M, and L a near part of the "B" side's ``inner`` at A
+    with max L < min U; d >= 1."""
+    out: list[tuple[int, int]] = []
+    for m in fps:
+        for far in itertools.combinations(bit_values(m), d):
+            a = m - sum(far)
+            parts = inner.get(a)
+            if parts:
+                low = far[0]
+                out.extend((a, m | near) for edge, near in parts if edge < low)
+    return frozenset(out)
 
 
 def _count_pairs(side: Side, fps: Iterable[int], d: int, k: int, n: int) -> int:
     """``len`` of a projection without listing it.
 
-    A pair is counted from C and its near part L as in ``_list_pairs``.
+    A pair is counted from C and its near part L, as ``Projection`` lists it.
     For "B", the L whose largest element is the j-th element e of C
     number comb(j-1, d-1) and leave n-e-(k-j) free elements; for
     "Bminus" the L whose least element is e number comb(k-j, d-1) and
@@ -196,7 +214,7 @@ def fp_projected_schubert(side: Side, lam: Iterable[int], d: int, k: int, n: int
 
 
 # An exhaustive sweep needs one projection per degree of its (n, k, i) block;
-# the cached projection keeps its listed pairs for the block's later cases.
+# the cached projection keeps its inner index for the block's later cases.
 @lru_cache(maxsize=16)
 def _projected_b(lam: Partition, d: int, k: int, n: int) -> Projection:
     return Projection("B", fp_schubert_b(lam, k, n), d, k, n)
@@ -224,8 +242,16 @@ def gamma_fp(
     """
     out: set[int] = set()
     for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
-        out.update(a | sum(x) for x in itertools.combinations(bit_values(b ^ a), d))
+        out.update(map(a.__or__, _d_subsets(b ^ a, d)))
     return frozenset(out)
+
+
+# Keyed on differences B - A of 2d elements.  At the rank cap the surviving
+# pairs share few of them: the case (16, 9, 3) has 286.
+@lru_cache(maxsize=1 << 12)
+def _d_subsets(mask: int, d: int) -> tuple[int, ...]:
+    """Masks of the d-subsets of ``mask``."""
+    return tuple(map(sum, itertools.combinations(bit_values(mask), d)))
 
 
 @dataclass(frozen=True)

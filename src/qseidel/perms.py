@@ -191,8 +191,9 @@ def parabolic_quotient(n: int, roots: Iterable[int]) -> list[Perm]:
             out.append(tuple(acc))
             return
         head, *rest = sizes_left
-        for chosen in itertools.combinations(remaining, head):
-            left = tuple(v for v in remaining if v not in chosen)
+        # the complements of lex-ordered subsets come in reverse lex order
+        lefts = reversed(list(itertools.combinations(remaining, len(remaining) - head)))
+        for chosen, left in zip(itertools.combinations(remaining, head), lefts):
             fill(left, rest, acc + list(chosen))
 
     fill(tuple(range(1, n + 1)), sizes, [])

@@ -192,7 +192,8 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QC
     width = part(lam, 1) + part(mu, 1)
     terms: dict[tuple[Partition, int], int] = {}
     for nu in partitions_bounded(total, k, width):
-        if not contains(nu, lam):
+        # c^nu_{lam,mu} vanishes unless both lam and mu fit inside nu
+        if not (contains(nu, lam) and contains(nu, mu)):
             continue
         c = lr_coeff(lam, mu, nu)
         if c == 0:

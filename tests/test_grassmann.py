@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -226,6 +227,28 @@ class TestTranslate:
         pts = fp_schubert_b((1,), 2, 4)
         assert translate_fp((1, 2, 3, 4), pts) == pts
 
+    def test_tables_match_elementwise_image_small(self):
+        for n in range(1, 6):
+            for g in itertools.permutations(range(1, n + 1)):
+                for m in range(1 << n):
+                    image = mask_of(g[s - 1] for s in subset_of(m))
+                    assert translate_fp(g, [m]) == {image}
+
+    def test_tables_match_elementwise_image_seeded(self):
+        rng = random.Random(9)
+        for n in range(9, 17):
+            for _ in range(10):
+                g = tuple(rng.sample(range(1, n + 1), n))
+                masks = [rng.getrandbits(n) for _ in range(40)]
+                for m in masks:
+                    image = mask_of(g[s - 1] for s in subset_of(m))
+                    assert translate_fp(g, [m]) == {image}
+                assert translate_fp(g, masks) == {translate_mask(g, m) for m in masks}
+
+    def test_rank_cap(self):
+        with pytest.raises(ValueError, match="rank cap"):
+            translate_fp(tuple(range(1, 18)), [1])
+
 
 class TestDuality:
     def test_dual_case_examples(self):
@@ -240,6 +263,19 @@ class TestDuality:
                     d = dual_mask(m, n)
                     assert d.bit_count() == n - k
                     assert dual_mask(d, n) == m
+
+    def test_dual_mask_matches_definition(self):
+        def reversed_complement(m, n):
+            return mask_of(n + 1 - s for s in range(1, n + 1) if s not in subset_of(m))
+
+        for n in range(1, 6):
+            for m in range(1 << n):
+                assert dual_mask(m, n) == reversed_complement(m, n)
+        rng = random.Random(10)
+        for n in range(9, 17):
+            for _ in range(200):
+                m = rng.getrandbits(n)
+                assert dual_mask(m, n) == reversed_complement(m, n)
 
     @pytest.mark.parametrize("k,n", RANKS)
     def test_fixed_point_correspondence(self, k, n):

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers_oracles import oracle_gamma, oracle_projection
 from qseidel import grassmann, neighborhoods
@@ -161,6 +163,23 @@ class TestProjectionOracle:
                         assert p & q == both
                         assert q & p == both
 
+    @given(st.data())
+    def test_join_matches_listing_and_membership_beyond_n6(self, data):
+        n = data.draw(st.integers(7, 12), label="n")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        parts = box_partitions(k, n)
+        lb = data.draw(st.sampled_from(parts), label="lam_b")
+        lbm = data.draw(st.sampled_from(parts), label="lam_bm")
+        d = data.draw(st.integers(0, min(k, n - k)), label="d")
+        p = fp_projected_schubert("B", lb, d, k, n)
+        q = fp_projected_schubert("Bminus", lbm, d, k, n)
+        listed_p, listed_q = list(p), list(q)
+        assert len(listed_p) == len(set(listed_p)) == len(p)  # each pair listed once
+        assert len(listed_q) == len(set(listed_q)) == len(q)
+        expect = frozenset(listed_p) & frozenset(listed_q)
+        assert p & q == q & p == expect
+        assert expect == frozenset(pair for pair in listed_p if pair in q)
+
     def test_other_intersections_fall_back_to_frozensets(self):
         p = fp_projected_schubert("B", (), 1, 2, 4)
         plain = frozenset(list(p)[:2])
@@ -253,6 +272,20 @@ class TestGamma:
                 fp_schubert_b(lb, 2, 5), fp_schubert_bminus(lbm, 2, 5), d, 2, 5
             )
             assert gamma_fp(lb, lbm, d, 2, 5) == expect
+
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_oracle_seeded_beyond_n6(self, n):
+        rng = random.Random(n)
+        for _ in range(8):
+            k = rng.randrange(2, n - 1)
+            parts = box_partitions(k, n)
+            lb, lbm = rng.choice(parts), rng.choice(parts)
+            d = rng.randint(1, min(k, n - k))
+            expect = oracle_gamma(
+                fp_schubert_b(lb, k, n), fp_schubert_bminus(lbm, k, n), d, k, n
+            )
+            assert gamma_fp(lb, lbm, d, k, n) == expect
 
 
 class TestGFlagChain:

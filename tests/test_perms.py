@@ -186,6 +186,15 @@ class TestCosets:
     def test_quotient_full_parabolic(self):
         assert parabolic_quotient(4, {1, 2, 3}) == [(1, 2, 3, 4)]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_quotient_matches_filter_of_all_permutations(self, n):
+        # root t glues positions t and t+1, so a representative ascends there;
+        # itertools lists all n! permutations in lexicographic order
+        every = perms_of(n)
+        for rs in powerset(range(1, n)):
+            expect = [w for w in every if all(w[t - 1] < w[t] for t in rs)]
+            assert parabolic_quotient(n, frozenset(rs)) == expect
+
 
 def powerset(it):
     items = list(it)
