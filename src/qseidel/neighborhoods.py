@@ -15,13 +15,13 @@ d = 0 it is a Richardson variety), so equal fixed points alone do not
 identify the two varieties.
 
 Subsets of a mask are enumerated as sums of its single-bit values.  A
-projection is a ``Projection``: membership of a pair is one lookup of
-its Gale-extremal member, and pairs are listed only on demand.  The
-projection of the rectangle side depends only on (beta, k, n, d); it is
-cached, and so is its index of extremal members by inner set, built at
-most once per sweep block.  Neither side is listed pair by pair:
-``fp_richardson`` joins the rectangle side's index with the opposite
-side's fixed points on their shared inner set.
+projection is a ``Projection``: a variety's fixed points with the count
+of its pairs, which are never listed.  The projection of the rectangle
+side depends only on (beta, k, n, d); it is cached, and so is its index
+of extremal members by inner set, built at most once per sweep block.
+``fp_richardson`` is the one place that intersects two projections: it
+joins the rectangle side's index with the opposite side's fixed points
+on their shared inner set.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ def _check_degree(d: int, k: int, n: int) -> None:
         raise ValueError(f"need 0 <= d <= min(k, n-k), got d={d}, k={k}, n={n}")
 
 
-class Projection(abc.Set):
-    """Fixed points (A, B) of the two-step image of a Schubert variety.
+class Projection:
+    """Fixed points (A, B) of the two-step image of a Schubert variety,
+    kept as the variety's own fixed points ``fps`` and counted, not listed.
 
     A pair qualifies when some k-subset C with A subseteq C subseteq B is
     in ``fps``; |A| = k-d and |B| = k+d.  The k-subsets between A and B
@@ -84,78 +85,32 @@ class Projection(abc.Set):
     B-stable variety (side "B") form a Gale down-set and those of an
     opposite variety (side "Bminus") an up-set, so a pair qualifies
     exactly when its near extremal member (A + L for "B", A + U for
-    "Bminus") is in ``fps``: membership is one lookup.
+    "Bminus") is in ``fps``.  ``len`` counts the pairs by that rule.
 
-    ``inner`` indexes the near extremal members by their inner set: it
-    maps A = C - N, for C in ``fps`` and every d-subset N of C, to the
-    near parts N with their edge bit (max N for "B", min N for
-    "Bminus").  Pairs are listed from it, each once: add d far elements
-    from outside C beyond the edge, so that N stays the near part.  For
-    the two opposite sides, ``P & Q`` is a join on A: it streams the
-    "Bminus" fixed points M, splits off each d-subset U as the far part,
-    and keeps the near parts L of the "B" index at A = M - U with
-    max L < min U, which gives the pair (A, M + L).  Neither side is
-    listed pair by pair.
+    On side "B", ``inner`` indexes the near members by their inner set:
+    it maps A = C - L, for C in ``fps`` and every d-subset L of C, to the
+    near parts L with their largest element.  ``fp_richardson`` joins it
+    with the "Bminus" fixed points.
     """
 
     def __init__(self, side: Side, fps: frozenset[int], d: int, k: int, n: int) -> None:
         self.side, self.fps, self.d, self.k, self.n = side, fps, d, k, n
 
-    @classmethod
-    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        return frozenset(it)
-
-    def __contains__(self, pair: object) -> bool:
-        try:
-            a, b = pair  # type: ignore[misc]
-        except (TypeError, ValueError):
-            return False
-        if not (isinstance(a, int) and isinstance(b, int)) or b >> self.n or a & ~b:
-            return False
-        if a.bit_count() != self.k - self.d or b.bit_count() != self.k + self.d:
-            return False
-        between = bit_values(b ^ a)
-        near = between[: self.d] if self.side == "B" else between[self.d :]
-        return a | sum(near) in self.fps
-
     @cached_property
     def inner(self) -> dict[int, list[tuple[int, int]]]:
-        end = -1 if self.side == "B" else 0
         index: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         for c in self.fps:
             for near in itertools.combinations(bit_values(c), self.d):
                 near_mask = sum(near)
-                index[c - near_mask].append((near[end] if near else 0, near_mask))
+                index[c - near_mask].append((near[-1] if near else 0, near_mask))
         return dict(index)
 
     @cached_property
     def _size(self) -> int:
         return _count_pairs(self.side, self.fps, self.d, self.k, self.n)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        full, d = (1 << self.n) - 1, self.d
-        for a, parts in self.inner.items():
-            for edge, near in parts:
-                c = a | near
-                # -(2e) keeps the bits above e; e - 1 the bits below it
-                free = (full ^ c) & (-(edge << 1) if self.side == "B" else edge - 1)
-                for far in itertools.combinations(bit_values(free), d):
-                    yield (a, c | sum(far))
-
     def __len__(self) -> int:
         return self._size
-
-    def __and__(self, other: object) -> frozenset[tuple[int, int]]:
-        if (
-            isinstance(other, Projection)
-            and other.side != self.side
-            and (other.d, other.k, other.n) == (self.d, self.k, self.n)
-        ):
-            if self.d == 0:
-                return frozenset((c, c) for c in self.fps & other.fps)
-            b_side, bm_side = (self, other) if self.side == "B" else (other, self)
-            return _join(b_side.inner, bm_side.fps, self.d)
-        return super().__and__(other)
 
 
 def _join(
@@ -178,8 +133,9 @@ def _join(
 def _count_pairs(side: Side, fps: Iterable[int], d: int, k: int, n: int) -> int:
     """``len`` of a projection without listing it.
 
-    A pair is counted from C and its near part L, as ``Projection`` lists it.
-    For "B", the L whose largest element is the j-th element e of C
+    Each pair is counted once, from its near extremal member C and near
+    part L: the far part is any d free elements beyond L's edge.  For
+    "B", the L whose largest element is the j-th element e of C
     number comb(j-1, d-1) and leave n-e-(k-j) free elements; for
     "Bminus" the L whose least element is e number comb(k-j, d-1) and
     leave e-j free elements.
@@ -199,7 +155,7 @@ def _count_pairs(side: Side, fps: Iterable[int], d: int, k: int, n: int) -> int:
 
 def fp_projected_schubert(side: Side, lam: Iterable[int], d: int, k: int, n: int) -> Projection:
     """Fixed points (A, B) of the two-step image of a Schubert variety,
-    as a ``Projection``: a set that tests a pair with one lookup.
+    as a ``Projection``: the variety's fixed points and the pair count.
 
     ``lam`` indexes the B-stable variety (side "B") by dimension and the
     opposite variety (side "Bminus") by codimension.
@@ -223,10 +179,19 @@ def _projected_b(lam: Partition, d: int, k: int, n: int) -> Projection:
 def fp_richardson(
     lam_b: Iterable[int], lam_bm: Iterable[int], d: int, k: int, n: int
 ) -> frozenset[tuple[int, int]]:
-    """Common fixed pairs of the two projected varieties."""
-    return fp_projected_schubert("B", lam_b, d, k, n) & fp_projected_schubert(
-        "Bminus", lam_bm, d, k, n
-    )
+    """Common fixed pairs of the two projected varieties.
+
+    At d = 0 both projections are diagonals.  Otherwise (A, B) lies in
+    both exactly when A + L is a "B" fixed point and A + U a "Bminus"
+    one, for the d least elements L and the d greatest U of B - A: a
+    join of the "B" side's ``inner`` index with the "Bminus" fixed points
+    on their shared inner set A.
+    """
+    p = fp_projected_schubert("B", lam_b, d, k, n)
+    q = fp_projected_schubert("Bminus", lam_bm, d, k, n)
+    if d == 0:
+        return frozenset((c, c) for c in p.fps & q.fps)
+    return _join(p.inner, q.fps, d)
 
 
 def gamma_fp(

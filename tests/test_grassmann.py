@@ -151,6 +151,10 @@ class TestMasks:
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
 
+    def test_k_subsets_reject_k_above_n(self):
+        with pytest.raises(ValueError, match="need 0 <= k <= n, got k=3, n=2"):
+            k_subset_masks(2, 3)
+
     def test_bit_values(self):
         assert bit_values(0) == ()
         assert bit_values(mask_of({1, 3, 4})) == (1, 4, 8)

@@ -1,10 +1,8 @@
 import functools
-import itertools
 import random
+import re
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from helpers_oracles import oracle_gamma, oracle_projection
 from qseidel import grassmann, neighborhoods
@@ -21,6 +19,7 @@ from qseidel.grassmann import (
 from qseidel.neighborhoods import (
     CHECK_NAMES,
     CaseReport,
+    GFlagChain,
     chain_fixed_points,
     fp_projected_schubert,
     fp_richardson,
@@ -41,16 +40,19 @@ def pairs_of(pair_set):
 
 class TestProjectedFixedPoints:
     def test_degree_zero_is_diagonal(self):
-        for side, lam in [("B", (1,)), ("Bminus", (2, 1))]:
+        # each side against the whole Grassmannian on the other
+        for side, lam_b, lam_bm in [("B", (1,), ()), ("Bminus", (2, 2), (2, 1))]:
+            lam = lam_b if side == "B" else lam_bm
             fps = (
                 fp_schubert_b(lam, 2, 4) if side == "B" else fp_schubert_bminus(lam, 2, 4)
             )
-            assert fp_projected_schubert(side, lam, 0, 2, 4) == frozenset(
-                (c, c) for c in fps
-            )
+            assert len(fp_projected_schubert(side, lam, 0, 2, 4)) == len(fps)
+            assert fp_richardson(lam_b, lam_bm, 0, 2, 4) == frozenset((c, c) for c in fps)
 
     def test_point_class_example(self):
-        got = pairs_of(fp_projected_schubert("B", (), 1, 2, 4))
+        assert len(fp_projected_schubert("B", (), 1, 2, 4)) == 4
+        # the codimension-zero opposite side projects onto every nested pair
+        got = pairs_of(fp_richardson((), (), 1, 2, 4))
         assert got == [
             ((1,), (1, 2, 3)),
             ((1,), (1, 2, 4)),
@@ -59,7 +61,8 @@ class TestProjectedFixedPoints:
         ]
 
     def test_codim_one_example_saturates(self):
-        got = fp_projected_schubert("Bminus", (1,), 1, 2, 4)
+        assert len(fp_projected_schubert("Bminus", (1,), 1, 2, 4)) == 12
+        got = fp_richardson((2, 2), (1,), 1, 2, 4)
         assert len(got) == 12
         for a, b in got:
             assert a & ~b == 0
@@ -112,88 +115,37 @@ def projection_cases():
 
 
 class TestProjectionOracle:
-    """``Projection`` against pairs scanned from the raw definition."""
+    """Projection counts and their join against pairs scanned from the raw
+    definition."""
 
-    def test_listing_and_length_match_oracle(self):
+    def test_length_matches_oracle(self):
         for side, lam, d, k, n in projection_cases():
             proj = fp_projected_schubert(side, lam, d, k, n)
-            expect = expected_projection(side, lam, d, k, n)
-            listed = list(proj)
-            assert len(listed) == len(set(listed))  # each pair listed once
-            assert set(listed) == expect
-            assert len(proj) == len(expect)
-            assert proj == expect
-
-    def test_membership_matches_oracle(self):
-        for side, lam, d, k, n in projection_cases():
-            proj = fp_projected_schubert(side, lam, d, k, n)
-            expect = expected_projection(side, lam, d, k, n)
-            inner = [mask_of(t) for t in itertools.combinations(range(1, n + 1), k - d)]
-            outer = [mask_of(t) for t in itertools.combinations(range(1, n + 1), k + d)]
-            # every pair of the right sizes, nested or not
-            for a in inner:
-                for b in outer:
-                    assert ((a, b) in proj) == ((a, b) in expect)
-
-    def test_membership_rejects_wrong_shapes(self):
-        for side, lam, d, k, n in projection_cases():
-            proj = fp_projected_schubert(side, lam, d, k, n)
-            for a, b in expected_projection(side, lam, d, k, n):
-                assert (a, b) in proj
-                assert (a, b | 1 << n) not in proj  # B holds an element beyond n
-                if a:
-                    assert (a & (a - 1), b) not in proj  # A one element short
-                outside = ((1 << n) - 1) ^ b
-                if outside:
-                    assert (a, b | outside & -outside) not in proj  # B one too many
-                assert (a, b, 0) not in proj
-                assert a not in proj
+            assert len(proj) == len(expected_projection(side, lam, d, k, n))
 
     def test_intersection_matches_oracle(self):
         for k, n in RANKS_6:
             parts = box_partitions(k, n)
             for d in range(min(k, n - k) + 1):
                 for lb in parts:
-                    p = fp_projected_schubert("B", lb, d, k, n)
                     for lbm in parts:
-                        q = fp_projected_schubert("Bminus", lbm, d, k, n)
                         both = expected_projection("B", lb, d, k, n) & expected_projection(
                             "Bminus", lbm, d, k, n
                         )
-                        assert p & q == both
-                        assert q & p == both
+                        assert fp_richardson(lb, lbm, d, k, n) == both
 
-    @given(st.data())
-    def test_join_matches_listing_and_membership_beyond_n6(self, data):
-        n = data.draw(st.integers(7, 12), label="n")
-        k = data.draw(st.integers(1, n - 1), label="k")
-        parts = box_partitions(k, n)
-        lb = data.draw(st.sampled_from(parts), label="lam_b")
-        lbm = data.draw(st.sampled_from(parts), label="lam_bm")
-        d = data.draw(st.integers(0, min(k, n - k)), label="d")
-        p = fp_projected_schubert("B", lb, d, k, n)
-        q = fp_projected_schubert("Bminus", lbm, d, k, n)
-        listed_p, listed_q = list(p), list(q)
-        assert len(listed_p) == len(set(listed_p)) == len(p)  # each pair listed once
-        assert len(listed_q) == len(set(listed_q)) == len(q)
-        expect = frozenset(listed_p) & frozenset(listed_q)
-        assert p & q == q & p == expect
-        assert expect == frozenset(pair for pair in listed_p if pair in q)
-
-    def test_other_intersections_fall_back_to_frozensets(self):
-        p = fp_projected_schubert("B", (), 1, 2, 4)
-        plain = frozenset(list(p)[:2])
-        assert p & plain == plain and isinstance(p & plain, frozenset)
-        assert plain & p == plain and isinstance(plain & p, frozenset)
-        same_side = p & fp_projected_schubert("B", (1,), 1, 2, 4)
-        assert isinstance(same_side, frozenset)
-        assert same_side == expected_projection("B", (), 1, 2, 4)
-        # opposite sides of different ranks: the Set mixin, pair by pair
-        other_rank = p & fp_projected_schubert("Bminus", (1,), 1, 2, 5)
-        assert isinstance(other_rank, frozenset)
-        assert other_rank == expected_projection("B", (), 1, 2, 4) & expected_projection(
-            "Bminus", (1,), 1, 2, 5
-        )
+    def test_join_matches_oracle_beyond_n6(self):
+        rng = random.Random(15)
+        for n in (7, 8, 9):
+            for _ in range(8):
+                k = rng.randint(1, n - 1)
+                parts = box_partitions(k, n)
+                lb, lbm = rng.choice(parts), rng.choice(parts)
+                d = rng.randint(0, min(k, n - k))
+                both = oracle_projection(fp_schubert_b(lb, k, n), d, k, n) & oracle_projection(
+                    fp_schubert_bminus(lbm, k, n), d, k, n
+                )
+                assert fp_richardson(lb, lbm, d, k, n) == both, (lb, lbm, d, k, n)
 
 
 class TestGamma:
@@ -300,6 +252,23 @@ class TestGFlagChain:
             g_flag_chain((1,), 2, 0, 2, 4)
         with pytest.raises(ValueError):
             g_flag_chain((), 2, 1, 2, 4)
+
+    # no valid input reaches the chain's own checks: patch its masks
+    def test_rejects_a_member_that_is_not_an_initial_segment(self, monkeypatch):
+        monkeypatch.setattr(neighborhoods, "interval_mask", lambda lo, hi: mask_of({1}))
+        with pytest.raises(ValueError, match="chain member 1 is not an initial segment"):
+            g_flag_chain((1,), 2, 1, 2, 4)
+
+    def test_rejects_a_chain_that_does_not_increase(self, monkeypatch):
+        monkeypatch.setattr(neighborhoods, "interval_mask", lambda lo, hi: mask_of({2}))
+        with pytest.raises(ValueError, match="chain not strictly increasing at member 2"):
+            g_flag_chain((1,), 2, 1, 2, 4)
+
+    def test_v_rejects_dimensions_that_give_no_partition(self):
+        subsets = (mask_of({1, 2, 3}), mask_of({1, 2}))
+        chain = GFlagChain(n=4, k=2, beta=2, d=1, subsets=subsets, basis_order=(2, 1, 4, 3))
+        with pytest.raises(ValueError, match=re.escape("give a non-partition: [0, 2]")):
+            v_from_gflags(chain)
 
     def test_structure_exhaustive_small(self):
         # every admissible (lam, beta) yields a strict chain whose

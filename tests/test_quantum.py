@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -108,6 +109,10 @@ class TestRimHookReduce:
         assert rim_hook_reduce((4, 1), 2, 4) is None
         assert rim_hook_reduce((3, 1), 2, 3) is None
         assert rim_hook_reduce((4, 2), 2, 3) is None
+
+    def test_rejects_more_than_k_rows(self):
+        with pytest.raises(ValueError, match=re.escape("shape (1, 1, 1) has more than 2 rows")):
+            rim_hook_reduce((1, 1, 1), 2, 4)
 
     @pytest.mark.parametrize(
         "k,n", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)]
