@@ -48,6 +48,14 @@ def check_rank(k: int, n: int) -> None:
         raise ValueError(f"rank cap exceeded: n={n} > {MAX_RANK}")
 
 
+def check_mask(mask: int, n: int) -> None:
+    """Raise ValueError unless ``mask`` is a subset of {1..n} with 1 <= n <= MAX_RANK."""
+    if not (1 <= n <= MAX_RANK and 0 <= mask < 1 << n):
+        raise ValueError(
+            f"need 1 <= n <= {MAX_RANK} and 0 <= mask < 2^n, got mask={mask}, n={n}"
+        )
+
+
 def normalize_partition(parts: Iterable[int]) -> Partition:
     """Drop trailing zeros and validate weak decrease.
 
@@ -271,8 +279,13 @@ def translate_fp(g: Sequence[int], pts: Iterable[int]) -> frozenset[int]:
     >>> sorted(subset_of(m) for m in translate_fp((2, 1), [mask_of({1})]))
     [(2,)]
     """
-    low, high = _byte_tables(check_perm(g))
-    return frozenset(low[m & 0xFF] | high[m >> 8] for m in pts)
+    g = check_perm(g)
+    low, high = _byte_tables(g)
+    masks = tuple(pts)
+    if masks:  # the extremes are the masks that could fall outside {1..n}
+        check_mask(min(masks), len(g))
+        check_mask(max(masks), len(g))
+    return frozenset(low[m & 0xFF] | high[m >> 8] for m in masks)
 
 
 def dual_mask(mask: int, n: int) -> int:
@@ -281,14 +294,19 @@ def dual_mask(mask: int, n: int) -> int:
     This is the fixed-point bijection underlying ``dual_case`` and is an
     involution.
     """
-    low, high = _reversal_tables(n)
-    m = ~mask & ((1 << n) - 1)
-    return low[m & 0xFF] | high[m >> 8]
+    check_mask(mask, n)
+    low, high = _dual_tables(n)
+    return low[mask & 0xFF] ^ high[mask >> 8]
 
 
+# The reversal s -> n+1-s of every byte of a mask.  It commutes with
+# complementing in {1..n}, and the complement is folded into the low table,
+# so the two lookups XOR to the dual.
 @lru_cache(maxsize=None)
-def _reversal_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return _byte_tables(tuple(range(n, 0, -1)))
+def _dual_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    low, high = _byte_tables(tuple(range(n, 0, -1)))
+    full = (1 << n) - 1
+    return tuple(full ^ image for image in low), high
 
 
 def dual_case(lam: Iterable[int], k: int, n: int) -> tuple[Partition, int]:

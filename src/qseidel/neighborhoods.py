@@ -17,11 +17,12 @@ identify the two varieties.
 Subsets of a mask are enumerated as sums of its single-bit values.  A
 projection is a ``Projection``: a variety's fixed points with the count
 of its pairs, which are never listed.  The projection of the rectangle
-side depends only on (beta, k, n, d); it is cached, and so is its index
-of extremal members by inner set, built at most once per sweep block.
-``fp_richardson`` is the one place that intersects two projections: it
-joins the rectangle side's index with the opposite side's fixed points
-on their shared inner set.
+side depends only on (beta, k, n, d); it is cached, and so is its
+``inner`` index, which maps each inner set A to the masks L of the near
+parts, built at most once per sweep block.  ``fp_richardson`` is the one
+place that intersects two projections: it splits each opposite-side
+fixed point M as A + U and keeps the near parts L at A that lie below
+min U.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import itertools
 import os
 import random
 from bisect import bisect_right
-from collections import abc, defaultdict
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from .grassmann import (
     MAX_RANK,
@@ -89,21 +90,20 @@ class Projection:
 
     On side "B", ``inner`` indexes the near members by their inner set:
     it maps A = C - L, for C in ``fps`` and every d-subset L of C, to the
-    near parts L with their largest element.  ``fp_richardson`` joins it
-    with the "Bminus" fixed points.
+    list of masks L.  ``fp_richardson`` joins it with the "Bminus" fixed
+    points.
     """
 
     def __init__(self, side: Side, fps: frozenset[int], d: int, k: int, n: int) -> None:
         self.side, self.fps, self.d, self.k, self.n = side, fps, d, k, n
 
     @cached_property
-    def inner(self) -> dict[int, list[tuple[int, int]]]:
-        index: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    def inner(self) -> dict[int, list[int]]:
+        index: dict[int, list[int]] = {}
         for c in self.fps:
-            for near in itertools.combinations(bit_values(c), self.d):
-                near_mask = sum(near)
-                index[c - near_mask].append((near[-1] if near else 0, near_mask))
-        return dict(index)
+            for near in map(sum, itertools.combinations(bit_values(c), self.d)):
+                index.setdefault(c - near, []).append(near)
+        return index
 
     @cached_property
     def _size(self) -> int:
@@ -111,23 +111,6 @@ class Projection:
 
     def __len__(self) -> int:
         return self._size
-
-
-def _join(
-    inner: dict[int, list[tuple[int, int]]], fps: Iterable[int], d: int
-) -> frozenset[tuple[int, int]]:
-    """Pairs (A, M + L) with M in ``fps`` (the "Bminus" side), A = M - U for
-    a d-subset U of M, and L a near part of the "B" side's ``inner`` at A
-    with max L < min U; d >= 1."""
-    out: list[tuple[int, int]] = []
-    for m in fps:
-        for far in itertools.combinations(bit_values(m), d):
-            a = m - sum(far)
-            parts = inner.get(a)
-            if parts:
-                low = far[0]
-                out.extend((a, m | near) for edge, near in parts if edge < low)
-    return frozenset(out)
 
 
 def _count_pairs(side: Side, fps: Iterable[int], d: int, k: int, n: int) -> int:
@@ -183,15 +166,26 @@ def fp_richardson(
 
     At d = 0 both projections are diagonals.  Otherwise (A, B) lies in
     both exactly when A + L is a "B" fixed point and A + U a "Bminus"
-    one, for the d least elements L and the d greatest U of B - A: a
-    join of the "B" side's ``inner`` index with the "Bminus" fixed points
-    on their shared inner set A.
+    one, for the d least elements L and the d greatest U of B - A.  So
+    each "Bminus" fixed point M is split as A + U over the d-subsets U
+    of M, and every near part L that the "B" side's ``inner`` index holds
+    at A with max L < min U gives the pair (A, M + L).  As masks that test
+    is L < U & -U, the lowest bit of U; it also keeps L and U disjoint.
     """
     p = fp_projected_schubert("B", lam_b, d, k, n)
     q = fp_projected_schubert("Bminus", lam_bm, d, k, n)
     if d == 0:
         return frozenset((c, c) for c in p.fps & q.fps)
-    return _join(p.inner, q.fps, d)
+    inner = p.inner
+    out: list[tuple[int, int]] = []
+    for m in q.fps:
+        for far in map(sum, itertools.combinations(bit_values(m), d)):
+            a = m - far
+            nears = inner.get(a)
+            if nears:
+                low = far & -far
+                out.extend((a, m | near) for near in nears if near < low)
+    return frozenset(out)
 
 
 def gamma_fp(
@@ -397,7 +391,9 @@ class SweepCases(abc.Sequence):
     The cases run in (n, k) blocks of n * comb(n, k), one per i and
     minimal representative u.  Only block offsets are held: an index
     builds the parabolic quotient of its own block, so sampling a few
-    cases never lists the other blocks.
+    cases never lists the other blocks.  Iteration goes through
+    indexing, and the small cache of quotients serves its sequential
+    reads, one quotient per block.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -420,13 +416,6 @@ class SweepCases(abc.Sequence):
         n, k = self.blocks[b]
         i, r = divmod(j - self.starts[b], comb(n, k))
         return (n, k, i, _block_reps(n, k)[r])
-
-    def __iter__(self) -> Iterator[Case]:
-        for n, k in self.blocks:
-            reps = _block_reps(n, k)
-            for i in range(n):
-                for u in reps:
-                    yield (n, k, i, u)
 
 
 @lru_cache(maxsize=4)

@@ -183,6 +183,15 @@ def oracle_projection(fps, d: int, k: int, n: int) -> frozenset[tuple[int, int]]
     return frozenset(out)
 
 
+def oracle_neighborhood_partition(mu, d: int, k: int) -> tuple[int, ...]:
+    """Codimension partition of the degree-d curve neighborhood of X^mu in
+    Gr(k, n): mu less its first d rows and d columns, mu_hat_i =
+    max(mu_{i+d} - d, 0) (Buch-Kresch-Tamvakis, JAMS 2003; Buch-Mihalcea,
+    "Curve neighborhoods of Schubert varieties", J. Differential Geom.
+    2015)."""
+    return normalize_partition(max(part(mu, i + d) - d, 0) for i in range(1, k - d + 1))
+
+
 def box_pairs(k, n):
     """All ordered pairs of partitions in the k x (n-k) box."""
     parts = box_partitions(k, n)

@@ -1,4 +1,4 @@
-"""Acceptance suite: the eight headline guarantees, one visible line each.
+"""Acceptance suite: the ten headline guarantees, one visible line each.
 
 Run with ``pytest tests/test_acceptance.py -v``; every test prints
 ``ACCEPTANCE <id> <label>: PASS`` (or FAIL) straight to the terminal,
@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from helpers_oracles import oracle_neighborhood_partition
 from qseidel.cli import dumps_json, main, render_cases_csv
 from qseidel.grassmann import (
     box_complement,
@@ -54,7 +55,7 @@ def test_1_pinned_degree_case(capsys):
     by_formula = seidel_degree(lam, 5, 4, 9)
     by_product = min_q_degree(quantum_product(seidel_class(5, 4, 9), lam, 4, 9))
     ok = by_formula == 2 and by_product == 2
-    announce(capsys, "1/8", "pinned diagonal degree, formula == product", ok)
+    announce(capsys, "1/10", "pinned diagonal degree, formula == product", ok)
     assert ok, (by_formula, by_product)
 
 
@@ -63,7 +64,7 @@ def test_2_neighborhood_sweep(capsys, sweep8):
     ok = not bad and sweep8.total == 3514
     announce(
         capsys,
-        "2/8",
+        "2/10",
         f"neighborhood == translated variety on {sweep8.total} cases (n <= 8)",
         ok,
     )
@@ -73,7 +74,7 @@ def test_2_neighborhood_sweep(capsys, sweep8):
 def test_3_single_term_products(capsys, sweep8):
     bad = [c for c in sweep8.cases if not c["checks"]["product_single_term"]]
     ok = not bad
-    announce(capsys, "3/8", "every cocharacter product is one q-term", ok)
+    announce(capsys, "3/10", "every cocharacter product is one q-term", ok)
     assert ok, bad[:5]
 
 
@@ -81,7 +82,7 @@ def test_4_flag_chain_consistency(capsys, sweep8):
     names = ("g_chain_containment", "v_match", "length_identity")
     bad = [c for c in sweep8.cases if not all(c["checks"][x] for x in names)]
     ok = not bad
-    announce(capsys, "4/8", "flag chains carve out the right variety", ok)
+    announce(capsys, "4/10", "flag chains carve out the right variety", ok)
     assert ok, bad[:5]
 
 
@@ -139,7 +140,7 @@ def test_5_join_of_projections(capsys):
     ok = failures == 0
     announce(
         capsys,
-        "5/8",
+        "5/10",
         f"join of parabolic projections recovers w ({checked} triples)",
         ok,
     )
@@ -153,7 +154,7 @@ def test_6_rotations_are_minimal_representatives(capsys):
         for n in range(2, 11)
         for i in range(1, n)
     )
-    announce(capsys, "6/8", "rotation powers == reduced longest element", ok)
+    announce(capsys, "6/10", "rotation powers == reduced longest element", ok)
     assert ok
 
 
@@ -173,7 +174,7 @@ def test_7_ring_sanity(capsys):
                     ok = ok and coeff > 0 and contains(box, shape)
     ok = ok and quantum_product((1,), (1,), 1, 2).terms == {((), 1): 1}
     ok = ok and quantum_product((2, 2), (1,), 2, 4).terms == {((1,), 1): 1}
-    announce(capsys, "7/8", "commutative graded ring with pinned products", ok)
+    announce(capsys, "7/10", "commutative graded ring with pinned products", ok)
     assert ok
 
 
@@ -186,5 +187,54 @@ def test_8_zero_degree_degeneration(capsys):
             for lam_bm in parts:
                 expect = below & fp_schubert_bminus(lam_bm, k, n)
                 ok = ok and gamma_fp(lam_b, lam_bm, 0, k, n) == expect
-    announce(capsys, "8/8", "degree-0 neighborhood == plain intersection", ok)
+    announce(capsys, "8/10", "degree-0 neighborhood == plain intersection", ok)
     assert ok
+
+
+def test_9_one_point_neighborhoods(capsys):
+    # the full box indexes the whole Grassmannian, so the pair's
+    # neighborhood is the one-point neighborhood of X^mu
+    bad = []
+    checked = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            box = (n - k,) * k
+            for mu in box_partitions(k, n):
+                for d in range(min(k, n - k) + 1):
+                    checked += 1
+                    expect = fp_schubert_bminus(oracle_neighborhood_partition(mu, d, k), k, n)
+                    if gamma_fp(box, mu, d, k, n) != expect:
+                        bad.append((mu, d, k, n))
+    ok = not bad and checked == 1756
+    announce(
+        capsys,
+        "9/10",
+        f"one-point neighborhood of X^mu == X^mu_hat on {checked} cases (n <= 8)",
+        ok,
+    )
+    assert ok, bad[:5]
+
+
+def test_10_least_q_degree_is_least_neighborhood_degree(capsys):
+    bad = []
+    checked = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            parts = box_partitions(k, n)
+            for lam in parts:
+                # X_lam of codimension lam, indexed by its dimension
+                lam_b = box_complement(lam, k, n)
+                for mu in parts:
+                    checked += 1
+                    degrees = range(min(k, n - k) + 1)
+                    least = next((d for d in degrees if gamma_fp(lam_b, mu, d, k, n)), None)
+                    if least != min_q_degree(quantum_product(lam, mu, k, n)):
+                        bad.append((lam, mu, k, n))
+    ok = not bad and checked == 4692
+    announce(
+        capsys,
+        "10/10",
+        f"least q-degree == least d meeting X^mu, {checked} pairs (n <= 7)",
+        ok,
+    )
+    assert ok, bad[:5]

@@ -253,6 +253,20 @@ class TestTranslate:
         with pytest.raises(ValueError, match="rank cap"):
             translate_fp(tuple(range(1, 18)), [1])
 
+    @pytest.mark.parametrize(
+        "g,masks,bad",
+        [
+            ((2, 1), [mask_of({5})], "mask=16, n=2"),
+            ((2, 1), [mask_of({1}), 4], "mask=4, n=2"),
+            (tuple(range(1, 10)), [-1], "mask=-1, n=9"),
+            (tuple(range(1, 10)), [mask_of({1, 9}), 1 << 9], "mask=512, n=9"),
+            ((), [0], "mask=0, n=0"),
+        ],
+    )
+    def test_rejects_masks_outside_the_rank(self, g, masks, bad):
+        with pytest.raises(ValueError, match=rf"0 <= mask < 2\^n, got {bad}$"):
+            translate_fp(g, masks)
+
 
 class TestDuality:
     def test_dual_case_examples(self):
@@ -280,6 +294,15 @@ class TestDuality:
             for _ in range(200):
                 m = rng.getrandbits(n)
                 assert dual_mask(m, n) == reversed_complement(m, n)
+
+    @pytest.mark.parametrize(
+        "mask,n",
+        [(mask_of({5}), 3), (1 << 16, 16), (-1, 4), (1, 0), (0, 0), (0, 17), (0, -1)],
+    )
+    def test_dual_mask_rejects_masks_outside_the_rank(self, mask, n):
+        message = rf"need 1 <= n <= 16 and 0 <= mask < 2\^n, got mask={mask}, n={n}$"
+        with pytest.raises(ValueError, match=message):
+            dual_mask(mask, n)
 
     @pytest.mark.parametrize("k,n", RANKS)
     def test_fixed_point_correspondence(self, k, n):

@@ -414,6 +414,21 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """Ranks of the parabolic quotients a test builds for sweep blocks."""
+    built: list[int] = []
+
+    def counting_quotient(n, roots):
+        built.append(n)
+        return parabolic_quotient(n, roots)
+
+    neighborhoods._block_reps.cache_clear()
+    monkeypatch.setattr(neighborhoods, "parabolic_quotient", counting_quotient)
+    yield built
+    neighborhoods._block_reps.cache_clear()
+
+
 class TestSweep:
     def test_case_enumeration(self):
         assert list(sweep_cases(2)) == [
@@ -429,15 +444,26 @@ class TestSweep:
     def test_indexing_matches_iteration(self):
         counts = {2: 4, 3: 22, 4: 78, 5: 228, 6: 600, 7: 1482}
         for n_max, total in counts.items():
+            expected = [
+                (n, k, i, u)
+                for n in range(2, n_max + 1)
+                for k in range(1, n)
+                for i in range(n)
+                for u in parabolic_quotient(n, frozenset(range(1, n)) - {k})
+            ]
             seq = sweep_cases(n_max)
-            listed = list(seq)
-            assert len(seq) == len(listed) == total
-            assert [seq[j] for j in range(len(seq))] == listed
-            assert seq[-1] == listed[-1]
+            assert len(seq) == len(expected) == total
+            assert list(seq) == expected
+            assert [seq[j] for j in range(len(seq))] == expected
+            assert seq[-1] == expected[-1]
             with pytest.raises(IndexError):
                 seq[len(seq)]
             with pytest.raises(IndexError):
                 seq[-len(seq) - 1]
+
+    def test_iteration_builds_each_block_once(self, quotient_calls):
+        assert len(list(sweep_cases(7))) == 1482
+        assert len(quotient_calls) == 21  # one per (n, k) block with n <= 7
 
     @pytest.mark.parametrize("n_max", [5, 7])
     def test_sampling_reads_like_a_list(self, n_max):
@@ -447,20 +473,11 @@ class TestSweep:
             for m in (1, 5, 10, 60, len(listed)):
                 assert random.Random(seed).sample(seq, m) == random.Random(seed).sample(listed, m)
 
-    def test_sampling_builds_only_the_sampled_blocks(self, monkeypatch):
-        built = []
-
-        def counting_quotient(n, roots):
-            built.append(n)
-            return parabolic_quotient(n, roots)
-
-        neighborhoods._block_reps.cache_clear()
-        monkeypatch.setattr(neighborhoods, "parabolic_quotient", counting_quotient)
+    def test_sampling_builds_only_the_sampled_blocks(self, monkeypatch, quotient_calls):
         monkeypatch.setattr(neighborhoods, "_verify_record", lambda case: {"pass": True})
         report = sweep(16, mode="sampled", sample_size=10)
         assert report.total == 10
-        assert 1 <= len(built) <= 10
-        neighborhoods._block_reps.cache_clear()
+        assert 1 <= len(quotient_calls) <= 10
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
