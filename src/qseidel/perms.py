@@ -3,13 +3,16 @@
 A permutation of rank n is a tuple ``w`` of length n whose entries are
 1..n in some order, with ``w[t-1]`` the image of t.  Composition is
 function composition: ``compose(a, b)`` sends t to a(b(t)).  Lengths are
-inversion counts, and the Bruhat order is decided by the rank-matrix
-criterion, so no reduced words are ever built.
+inversion counts.  The Bruhat order, minimal coset representatives,
+parabolic quotients and joins all read a permutation block by block,
+through the sorted values of its prefixes, so no reduced words are ever
+built.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -80,6 +83,7 @@ def inverse(a: Sequence[int]) -> Perm:
     >>> inverse((4, 1, 2, 3))
     (2, 3, 4, 1)
     """
+    a = check_perm(a)
     out = [0] * len(a)
     for t, v in enumerate(a, start=1):
         out[v - 1] = t
@@ -94,32 +98,17 @@ def length(a: Sequence[int]) -> int:
     >>> length((1, 2, 3))
     0
     """
+    a = check_perm(a)
     n = len(a)
     return sum(1 for i in range(n) for j in range(i + 1, n) if a[i] > a[j])
 
 
-def rank_table(w: Sequence[int]) -> tuple[int, ...]:
-    """Flattened table with entry (i, j) counting {t <= i : w(t) >= j}.
-
-    Entries are stored row by row, i and j both running 1..n.
-    """
-    n = len(w)
-    row = [0] * (n + 1)
-    out: list[int] = []
-    for v in w:
-        for j in range(1, v + 1):
-            row[j] += 1
-        out.extend(row[1:])
-    return tuple(out)
-
-
-def table_leq(ta: Sequence[int], tb: Sequence[int]) -> bool:
-    """Entrywise <= of two rank tables."""
-    return all(x <= y for x, y in zip(ta, tb))
-
-
 def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Whether u <= v in the Bruhat order (rank-matrix criterion).
+    """Whether u <= v in the Bruhat order.
+
+    Ehresmann's tableau criterion (Björner and Brenti, "Combinatorics of
+    Coxeter Groups", Thm 2.6.3): u <= v exactly when, for every c, the
+    sorted values of u's first c positions lie entrywise below those of v.
 
     >>> bruhat_leq((1, 3, 2), (3, 1, 2))
     True
@@ -127,7 +116,10 @@ def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     False
     """
     u = check_perm(u)
-    return table_leq(rank_table(u), rank_table(check_perm(v, len(u))))
+    v = check_perm(v, len(u))
+    return all(
+        all(map(operator.le, sorted(u[:c]), sorted(v[:c]))) for c in range(1, len(u))
+    )
 
 
 def position_blocks(n: int, roots: Iterable[int]) -> list[range]:
@@ -160,11 +152,9 @@ def min_coset_rep(u: Sequence[int], roots: Iterable[int]) -> Perm:
     (1, 3, 2)
     """
     w = check_perm(u)
-    out = list(w)
+    out: list[int] = []
     for blk in position_blocks(len(w), roots):
-        vals = sorted(out[t - 1] for t in blk)
-        for t, v in zip(blk, vals):
-            out[t - 1] = v
+        out.extend(sorted(w[blk.start - 1 : blk.stop - 1]))
     return tuple(out)
 
 
@@ -177,38 +167,37 @@ def parabolic_quotient(n: int, roots: Iterable[int]) -> list[Perm]:
     """All minimal coset representatives for W_P, in lexicographic order.
 
     These are exactly the permutations ascending within each glued block,
-    so they are generated by distributing 1..n over the blocks rather than
-    by filtering all n! permutations.
+    so they are built block by block: each prefix is extended by every
+    ascending choice of the block's values from those it has not used,
+    rather than by filtering all n! permutations.
 
     >>> parabolic_quotient(3, {1})
     [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     """
-    sizes = [len(b) for b in position_blocks(n, roots)]
-    out: list[Perm] = []
-
-    def fill(remaining: tuple[int, ...], sizes_left: list[int], acc: list[int]) -> None:
-        if not sizes_left:
-            out.append(tuple(acc))
-            return
-        head, *rest = sizes_left
-        # the complements of lex-ordered subsets come in reverse lex order
-        lefts = reversed(list(itertools.combinations(remaining, len(remaining) - head)))
-        for chosen, left in zip(itertools.combinations(remaining, head), lefts):
-            fill(left, rest, acc + list(chosen))
-
-    fill(tuple(range(1, n + 1)), sizes, [])
-    return out
+    partial: list[tuple[Perm, Perm]] = [((), identity(n))]
+    for blk in position_blocks(n, roots):
+        partial = [
+            (prefix + chosen, left)
+            for prefix, unused in partial
+            # the complements of lex-ordered subsets come in reverse lex order
+            for chosen, left in zip(
+                itertools.combinations(unused, len(blk)),
+                reversed(list(itertools.combinations(unused, len(unused) - len(blk)))),
+            )
+        ]
+    return [prefix for prefix, _ in partial]
 
 
 def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[Perm]:
     """Least upper bound of u and v inside the quotient poset, or None.
 
     u and v must be minimal coset representatives for ``roots``; the poset
-    is the Bruhat order restricted to those representatives, which compares
-    rank-table rows only at the cut positions (the last position of every
-    block but the final one).  At each cut row c the entrywise maximum of
-    the rows of u and v is the row of a c-element set S_c.  When these sets
-    nest, the join lists each block's new elements S_c - S_prev in
+    is the Bruhat order restricted to those representatives, which by the
+    tableau criterion (Björner and Brenti, Thm 2.6.3) compares the sorted
+    prefixes of u and v only at the cuts, the last position c of each
+    block.  There the entrywise maximum of sorted(u[:c]) and sorted(v[:c])
+    is a c-element set S_c, the Gale join of the two prefixes.  When these
+    sets nest, the join lists each block's new elements S_c - S_prev in
     ascending order; otherwise there is no join and the result is None (an
     explicit NoJoin outcome, not a failure).  This follows Lascoux and
     Schützenberger, "Treillis et bases des groupes de Coxeter" (Electron.
@@ -217,30 +206,20 @@ def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[P
     """
     u = check_perm(u)
     v = check_perm(v, len(u))
-    n = len(u)
     rs = frozenset(roots)
     for w in (u, v):
         if not is_min_coset_rep(w, rs):
             raise ValueError(f"not a minimal coset representative: {w}")
     out: list[int] = []
     prev: set[int] = set()
-    for blk in position_blocks(n, rs)[:-1]:
-        c = blk[-1]
-        su, sv = set(u[:c]), set(v[:c])
-        # walk j = n..1: each count of {t <= c : w(t) >= j} rises by 0 or 1
-        # per step, so their maximum does too, and j is in S_c when it rises
-        cur: set[int] = set()
-        a = b = 0
-        for j in range(n, 0, -1):
-            a += j in su
-            b += j in sv
-            if max(a, b) > len(cur):
-                cur.add(j)
+    # the last block's cut is n, where both prefixes hold all of 1..n
+    for blk in position_blocks(len(u), rs):
+        c = blk.stop - 1
+        cur = set(map(max, sorted(u[:c]), sorted(v[:c])))
         if not prev <= cur:
             return None
         out.extend(sorted(cur - prev))
         prev = cur
-    out.extend(sorted(set(range(1, n + 1)) - prev))
     return tuple(out)
 
 
@@ -251,6 +230,8 @@ def seidel_generator(n: int) -> Perm:
     >>> seidel_generator(4)
     (4, 1, 2, 3)
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     return (n,) + tuple(range(1, n))
 
 

@@ -2,9 +2,9 @@
 
 Everything here recomputes results from first principles by exhaustive
 search, deliberately avoiding the algorithms under test: the Bruhat
-order is grown from transposition steps, neighborhoods from raw pair
-enumeration, and quantum reductions from literal border-strip removal
-on diagrams.
+order is grown from transposition steps or read from rank matrices,
+neighborhoods from raw pair enumeration, and quantum reductions from
+literal border-strip removal on diagrams.
 """
 
 from __future__ import annotations
@@ -40,6 +40,18 @@ def oracle_downset(v: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
 
 def oracle_bruhat_leq(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return u in oracle_downset(v)
+
+
+def oracle_rank_leq(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Bruhat order by the rank-matrix criterion: u <= v exactly when
+    #{t <= i : u(t) >= j} <= #{t <= i : v(t) >= j} for all i and j
+    (Björner-Brenti, "Combinatorics of Coxeter Groups", Ch. 2)."""
+    n = len(u)
+    return all(
+        sum(1 for t in range(i) if u[t] >= j) <= sum(1 for t in range(i) if v[t] >= j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
 
 
 def oracle_join(u, v, roots, n):
@@ -190,6 +202,16 @@ def oracle_neighborhood_partition(mu, d: int, k: int) -> tuple[int, ...]:
     "Curve neighborhoods of Schubert varieties", J. Differential Geom.
     2015)."""
     return normalize_partition(max(part(mu, i + d) - d, 0) for i in range(1, k - d + 1))
+
+
+def oracle_rotated_target(u, i: int, k: int, n: int) -> tuple[int, ...]:
+    """Partition of the Schubert cell of sigma_i * u in Gr(k, n), read off
+    Postnikov's rotation ("Affine approach to quantum Schubert calculus",
+    Duke Math. J. 2005): multiplying by the i-th cocharacter class rotates
+    the k-subset {u(1), ..., u(k)} by -i mod n.  The rotated set, sorted as
+    a_1 < ... < a_k, indexes the partition (a_k - k, ..., a_1 - 1)."""
+    a = sorted((u[t] - 1 - i) % n + 1 for t in range(k))
+    return normalize_partition(a[t - 1] - t for t in range(k, 0, -1))
 
 
 def box_pairs(k, n):

@@ -1,4 +1,4 @@
-"""Acceptance suite: the ten headline guarantees, one visible line each.
+"""Acceptance suite: the eleven headline guarantees, one visible line each.
 
 Run with ``pytest tests/test_acceptance.py -v``; every test prints
 ``ACCEPTANCE <id> <label>: PASS`` (or FAIL) straight to the terminal,
@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from helpers_oracles import oracle_neighborhood_partition
+from helpers_oracles import oracle_neighborhood_partition, oracle_rotated_target
 from qseidel.cli import dumps_json, main, render_cases_csv
 from qseidel.grassmann import (
     box_complement,
@@ -21,7 +21,7 @@ from qseidel.grassmann import (
     fp_schubert_bminus,
     size,
 )
-from qseidel.neighborhoods import gamma_fp, sweep
+from qseidel.neighborhoods import gamma_fp, sweep, sweep_cases
 from qseidel.perms import join, longest_element, min_coset_rep, seidel_element
 from qseidel.quantum import (
     lr_coeff,
@@ -29,6 +29,7 @@ from qseidel.quantum import (
     quantum_product,
     seidel_class,
     seidel_degree,
+    seidel_product_check,
 )
 
 RANKS_6 = [(k, n) for n in range(2, 7) for k in range(1, n)]
@@ -55,7 +56,7 @@ def test_1_pinned_degree_case(capsys):
     by_formula = seidel_degree(lam, 5, 4, 9)
     by_product = min_q_degree(quantum_product(seidel_class(5, 4, 9), lam, 4, 9))
     ok = by_formula == 2 and by_product == 2
-    announce(capsys, "1/10", "pinned diagonal degree, formula == product", ok)
+    announce(capsys, "1/11", "pinned diagonal degree, formula == product", ok)
     assert ok, (by_formula, by_product)
 
 
@@ -64,7 +65,7 @@ def test_2_neighborhood_sweep(capsys, sweep8):
     ok = not bad and sweep8.total == 3514
     announce(
         capsys,
-        "2/10",
+        "2/11",
         f"neighborhood == translated variety on {sweep8.total} cases (n <= 8)",
         ok,
     )
@@ -74,7 +75,7 @@ def test_2_neighborhood_sweep(capsys, sweep8):
 def test_3_single_term_products(capsys, sweep8):
     bad = [c for c in sweep8.cases if not c["checks"]["product_single_term"]]
     ok = not bad
-    announce(capsys, "3/10", "every cocharacter product is one q-term", ok)
+    announce(capsys, "3/11", "every cocharacter product is one q-term", ok)
     assert ok, bad[:5]
 
 
@@ -82,7 +83,7 @@ def test_4_flag_chain_consistency(capsys, sweep8):
     names = ("g_chain_containment", "v_match", "length_identity")
     bad = [c for c in sweep8.cases if not all(c["checks"][x] for x in names)]
     ok = not bad
-    announce(capsys, "4/10", "flag chains carve out the right variety", ok)
+    announce(capsys, "4/11", "flag chains carve out the right variety", ok)
     assert ok, bad[:5]
 
 
@@ -140,7 +141,7 @@ def test_5_join_of_projections(capsys):
     ok = failures == 0
     announce(
         capsys,
-        "5/10",
+        "5/11",
         f"join of parabolic projections recovers w ({checked} triples)",
         ok,
     )
@@ -154,7 +155,7 @@ def test_6_rotations_are_minimal_representatives(capsys):
         for n in range(2, 11)
         for i in range(1, n)
     )
-    announce(capsys, "6/10", "rotation powers == reduced longest element", ok)
+    announce(capsys, "6/11", "rotation powers == reduced longest element", ok)
     assert ok
 
 
@@ -174,7 +175,7 @@ def test_7_ring_sanity(capsys):
                     ok = ok and coeff > 0 and contains(box, shape)
     ok = ok and quantum_product((1,), (1,), 1, 2).terms == {((), 1): 1}
     ok = ok and quantum_product((2, 2), (1,), 2, 4).terms == {((1,), 1): 1}
-    announce(capsys, "7/10", "commutative graded ring with pinned products", ok)
+    announce(capsys, "7/11", "commutative graded ring with pinned products", ok)
     assert ok
 
 
@@ -187,7 +188,7 @@ def test_8_zero_degree_degeneration(capsys):
             for lam_bm in parts:
                 expect = below & fp_schubert_bminus(lam_bm, k, n)
                 ok = ok and gamma_fp(lam_b, lam_bm, 0, k, n) == expect
-    announce(capsys, "8/10", "degree-0 neighborhood == plain intersection", ok)
+    announce(capsys, "8/11", "degree-0 neighborhood == plain intersection", ok)
     assert ok
 
 
@@ -208,7 +209,7 @@ def test_9_one_point_neighborhoods(capsys):
     ok = not bad and checked == 1756
     announce(
         capsys,
-        "9/10",
+        "9/11",
         f"one-point neighborhood of X^mu == X^mu_hat on {checked} cases (n <= 8)",
         ok,
     )
@@ -233,8 +234,26 @@ def test_10_least_q_degree_is_least_neighborhood_degree(capsys):
     ok = not bad and checked == 4692
     announce(
         capsys,
-        "10/10",
+        "10/11",
         f"least q-degree == least d meeting X^mu, {checked} pairs (n <= 7)",
+        ok,
+    )
+    assert ok, bad[:5]
+
+
+def test_11_rotation_reads_the_target(capsys):
+    # Postnikov: the target's k-subset is u's first k values rotated by -i
+    cases = sweep_cases(8)
+    bad = [
+        (n, k, i, u)
+        for n, k, i, u in cases
+        if seidel_product_check(u, i, k, n).target != oracle_rotated_target(u, i, k, n)
+    ]
+    ok = not bad and len(cases) == 3514
+    announce(
+        capsys,
+        "11/11",
+        f"target == u's k-subset rotated by -i on {len(cases)} cases (n <= 8)",
         ok,
     )
     assert ok, bad[:5]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers_oracles import oracle_downset, oracle_join
+from helpers_oracles import oracle_downset, oracle_join, oracle_rank_leq
 from qseidel.perms import (
     bruhat_leq,
     compose,
@@ -67,6 +67,21 @@ class TestBasics:
         with pytest.raises(ValueError, match=message):
             fn(*args)
 
+    @pytest.mark.parametrize(
+        "fn,args,message",
+        [
+            (inverse, ((1, 1, 3),), "not a permutation"),
+            (inverse, ((2, 5),), "not a permutation"),
+            (length, ((1, 1),), "not a permutation"),
+            (seidel_generator, (0,), "need n >= 1, got n=0"),
+            (seidel_generator, (-3,), "need n >= 1, got n=-3"),
+        ],
+        ids=["inverse-repeat", "inverse-range", "length-repeat", "generator-0", "generator-neg"],
+    )
+    def test_one_argument_functions_check_it(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
     def test_inverse_example(self):
         assert inverse((4, 1, 2, 3)) == (2, 3, 4, 1)
 
@@ -102,13 +117,32 @@ class TestBruhat:
         assert not bruhat_leq((3, 1, 2), (1, 3, 2))
         assert bruhat_leq((2, 1, 3), (2, 1, 3))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_transposition_oracle(self, n):
         all_p = perms_of(n)
         for v in all_p:
             down = oracle_downset(v)
             for u in all_p:
                 assert bruhat_leq(u, v) == (u in down)
+
+    @pytest.mark.parametrize("n", range(6, 17))
+    def test_matches_rank_matrix_oracle_at_high_rank(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            u = list(range(1, n + 1))
+            rng.shuffle(u)
+            # v lies above u: each swap of an ascending pair raises the length
+            v = list(u)
+            for _ in range(rng.randint(1, n)):
+                a, b = sorted(rng.sample(range(n), 2))
+                if v[a] < v[b]:
+                    v[a], v[b] = v[b], v[a]
+            w = list(range(1, n + 1))
+            rng.shuffle(w)
+            u, v, w = tuple(u), tuple(v), tuple(w)
+            assert bruhat_leq(u, v) and oracle_rank_leq(u, v)
+            for x, y in ((v, u), (u, w), (w, u), (v, w), (w, v)):
+                assert bruhat_leq(x, y) == oracle_rank_leq(x, y)
 
     def test_partial_order_n5(self):
         # reflexivity, antisymmetry, transitivity via up-set bitmasks
@@ -236,7 +270,7 @@ class TestJoin:
         assert join(uy, uz, {1, 2, 3, 4, 5}) == min_coset_rep(w, {1, 2, 3, 4, 5})
 
     @given(
-        st.integers(7, 12).flatmap(
+        st.integers(7, 16).flatmap(
             lambda n: st.tuples(
                 st.permutations(list(range(1, n + 1))),
                 st.frozensets(st.integers(1, n - 1)),
