@@ -13,13 +13,11 @@ rectangle-side projection in ``neighborhoods`` misses its own cache.
 Translating a subset by a permutation reads two cached byte tables of
 that permutation instead of walking the subset.
 
-Two indexing conventions coexist and both are needed downstream:
-
-* lower (B-stable) varieties are indexed by their dimension partition
-  and their fixed points satisfy |S n {1..i+lam[k-i+1]}| >= i;
-* opposite (B^- stable) varieties are indexed by their codimension
-  partition and their fixed points satisfy |S n {n-j+1..n}| >= i with
-  j = n-k+i-lam[i].
+Each partition lam with at most k rows has one k-subset,
+``partition_subset(lam, k)``, read in the Gale order (sorted elements
+compared entrywise): the fixed points of the lower (B-stable) variety of
+dimension partition lam are the k-subsets below it, and those of the
+opposite variety of codimension partition lam the k-subsets above it.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Perm, check_perm, min_coset_rep, parse_ints
+from .perms import Perm, check_perm, longest_element, min_coset_rep, parse_ints
 
 Partition = tuple[int, ...]
 
@@ -135,15 +133,34 @@ def partitions_bounded(total: int, rows: int, width: int) -> Iterator[Partition]
 def box_partitions(k: int, n: int) -> list[Partition]:
     """All partitions in the k x (n-k) box, sorted lexicographically."""
     check_rank(k, n)
-    sizes = range(k * (n - k) + 1)
-    return sorted(lam for t in sizes for lam in partitions_bounded(t, k, n - k))
+    return sorted(map(subset_partition, itertools.combinations(range(1, n + 1), k)))
+
+
+def partition_subset(lam: Sequence[int], k: int) -> tuple[int, ...]:
+    """Ascending k-subset {t + lam[k+1-t] : t = 1..k} of a partition with at most k rows.
+
+    >>> partition_subset((2, 1), 2)
+    (2, 4)
+    """
+    if len(lam) > k:
+        raise ValueError(f"shape {tuple(lam)} has more than {k} rows")
+    return tuple(t + part(lam, k + 1 - t) for t in range(1, k + 1))
+
+
+def subset_partition(subset: Sequence[int]) -> Partition:
+    """Partition of an ascending subset, the inverse of ``partition_subset``.
+
+    >>> subset_partition((2, 4))
+    (2, 1)
+    """
+    return normalize_partition(subset[t - 1] - t for t in range(len(subset), 0, -1))
 
 
 def perm_to_partition(w: Sequence[int], k: int, n: int) -> Partition:
     """Partition indexing the Schubert cell of the coset of ``w`` modulo
     the maximal parabolic subgroup at k.
 
-    The parts are w(k)-k, w(k-1)-(k-1), ..., w(1)-1 for the coset's
+    It is the partition of the k-subset w(1) < ... < w(k) for the coset's
     minimal representative w, which ascends on positions 1..k and k+1..n.
 
     >>> perm_to_partition((2, 4, 1, 3), 2, 4)
@@ -153,7 +170,7 @@ def perm_to_partition(w: Sequence[int], k: int, n: int) -> Partition:
     """
     check_rank(k, n)
     w = min_coset_rep(check_perm(w, n), frozenset(range(1, n)) - {k})
-    return normalize_partition(w[i - 1] - i for i in range(k, 0, -1))
+    return subset_partition(w[:k])
 
 
 def partition_to_perm(lam: Iterable[int], k: int, n: int) -> Perm:
@@ -162,10 +179,8 @@ def partition_to_perm(lam: Iterable[int], k: int, n: int) -> Perm:
     >>> partition_to_perm((2, 1), 2, 4)
     (2, 4, 1, 3)
     """
-    lam = check_box(lam, k, n)
-    first = sorted(part(lam, i) + (k - i + 1) for i in range(1, k + 1))
-    rest = sorted(set(range(1, n + 1)) - set(first))
-    return tuple(first + rest)
+    first = partition_subset(check_box(lam, k, n), k)
+    return first + tuple(sorted(set(range(1, n + 1)) - set(first)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +240,20 @@ def flag_fixed_points(flags: Sequence[int], k: int, n: int) -> frozenset[int]:
 
 
 def fp_schubert_b(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
-    """Fixed points of the B-stable Schubert variety of dimension partition lam.
-
-    The subset S qualifies when |S n {1..i+lam[k-i+1]}| >= i for i = 1..k.
+    """Fixed points of the B-stable Schubert variety of dimension partition lam:
+    the k-subsets entrywise below ``partition_subset(lam, k)``.
 
     >>> sorted(subset_of(m) for m in fp_schubert_b((1,), 2, 4))
     [(1, 2), (1, 3)]
     """
     lam = check_box(lam, k, n)
-    prefixes = [interval_mask(1, i + part(lam, k - i + 1)) for i in range(1, k + 1)]
+    prefixes = [interval_mask(1, s) for s in partition_subset(lam, k)]
     return flag_fixed_points(prefixes, k, n)
 
 
 def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
-    """Fixed points of the opposite Schubert variety of codimension partition lam.
-
-    The subset S qualifies when |S n {n-j+1..n}| >= i for i = 1..k, where
-    j = n-k+i-lam[i].
+    """Fixed points of the opposite Schubert variety of codimension partition lam:
+    the k-subsets entrywise above ``partition_subset(lam, k)``.
 
     >>> sorted(subset_of(m) for m in fp_schubert_bminus((1,), 1, 2))
     [(2,)]
@@ -252,7 +264,7 @@ def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
 
 @lru_cache(maxsize=FP_CACHE_SIZE)
 def _fp_schubert_bminus(lam: Partition, k: int, n: int) -> frozenset[int]:
-    suffixes = [interval_mask(n - (n - k + i - part(lam, i)) + 1, n) for i in range(1, k + 1)]
+    suffixes = [interval_mask(s, n) for s in reversed(partition_subset(lam, k))]
     return flag_fixed_points(suffixes, k, n)
 
 
@@ -295,18 +307,8 @@ def dual_mask(mask: int, n: int) -> int:
     involution.
     """
     check_mask(mask, n)
-    low, high = _dual_tables(n)
-    return low[mask & 0xFF] ^ high[mask >> 8]
-
-
-# The reversal s -> n+1-s of every byte of a mask.  It commutes with
-# complementing in {1..n}, and the complement is folded into the low table,
-# so the two lookups XOR to the dual.
-@lru_cache(maxsize=None)
-def _dual_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    low, high = _byte_tables(tuple(range(n, 0, -1)))
-    full = (1 << n) - 1
-    return tuple(full ^ image for image in low), high
+    low, high = _byte_tables(longest_element(n))
+    return ((1 << n) - 1) ^ low[mask & 0xFF] ^ high[mask >> 8]
 
 
 def dual_case(lam: Iterable[int], k: int, n: int) -> tuple[Partition, int]:

@@ -52,11 +52,11 @@ from .grassmann import (
     fp_schubert_bminus,
     interval_mask,
     mask_of,
-    part,
+    partition_subset,
     size,
     translate_fp,
 )
-from .perms import Perm, fmt_perm, inverse, parabolic_quotient, seidel_element
+from .perms import Perm, fmt_perm, parabolic_quotient, seidel_element
 from .quantum import SeidelCheck, qclass_records, seidel_degree, seidel_product_check
 
 Side = Literal["B", "Bminus"]
@@ -83,8 +83,9 @@ class Projection:
     in ``fps``; |A| = k-d and |B| = k+d.  The k-subsets between A and B
     have a Gale-least member, A plus the d least elements L of B - A, and
     a Gale-greatest one, A plus the d greatest U.  The fixed points of a
-    B-stable variety (side "B") form a Gale down-set and those of an
-    opposite variety (side "Bminus") an up-set, so a pair qualifies
+    B-stable variety (side "B") form the Gale down-set of its subset
+    ``partition_subset(lam, k)`` and those of an opposite variety (side
+    "Bminus") the up-set of its own, so a pair qualifies
     exactly when its near extremal member (A + L for "B", A + U for
     "Bminus") is in ``fps``.  ``len`` counts the pairs by that rule.
 
@@ -229,6 +230,9 @@ class GFlagChain:
 def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> GFlagChain:
     """Explicit flag chain for the neighborhood of degree d.
 
+    For s = ``partition_subset(lam, k)`` (0-indexed) the members are
+    {s[k-t]..beta} for t = d+1..k, then {1..beta} + {s[k-t]..n} for t = 1..d.
+
     Requires beta >= k and d = seidel_degree(lam, beta, k, n); raises
     ValueError when the requested degree is inconsistent or the resulting
     chain fails to be strictly increasing initial segments.
@@ -239,17 +243,9 @@ def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> GFlag
             f"degree {d} inconsistent with seidel_degree={seidel_degree(lam, beta, k, n)}"
         )
     order = tuple(range(beta, 0, -1)) + tuple(range(n, beta, -1))
-    subsets: list[int] = []
-    for idx in range(1, k + 1):
-        if idx <= k - d:
-            t = idx + d
-            j = n - k + t - part(lam, t)
-            g = interval_mask(n - j + 1, beta)
-        else:
-            t = idx - (k - d)
-            j = n - k + t - part(lam, t)
-            g = interval_mask(1, beta) | interval_mask(n - j + 1, n)
-        subsets.append(g)
+    low = partition_subset(lam, k)
+    subsets = [interval_mask(low[k - t], beta) for t in range(d + 1, k + 1)]
+    subsets += [interval_mask(1, beta) | interval_mask(low[k - t], n) for t in range(1, d + 1)]
     prev = 0
     for idx, g in enumerate(subsets, start=1):
         if mask_of(order[: g.bit_count()]) != g:
@@ -338,7 +334,7 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
     """
     pcheck = seidel_product_check(u, i, k, n)
     frame, d, target_partition = pcheck.frame, pcheck.frame.d, pcheck.target
-    target = translate_fp(inverse(seidel_element(n, i)), fp_schubert_bminus(target_partition, k, n))
+    target = translate_fp(seidel_element(n, -i % n), fp_schubert_bminus(target_partition, k, n))
     checks = dict.fromkeys(CHECK_NAMES, True)
     checks["product_single_term"] = pcheck.passed
     v_partition: Optional[Partition] = None
@@ -367,8 +363,6 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         gamma = frozenset(dual_mask(m, n) for m in gamma)
 
     checks["fp_equality"] = gamma == target
-    if checks["fp_equality"]:
-        gamma = target  # equal sets: the report keeps one of them
     return CaseReport(
         n=n,
         k=k,

@@ -5,9 +5,9 @@ quantum parameter q, with deg q = n.  Products are computed by expanding
 in Littlewood-Richardson coefficients over partitions with at most k
 rows and unbounded width, then reducing each shape modulo n-rim hooks.
 Every removed hook contributes one factor of q and the sign (-1)^(k-h),
-h being the number of rows the hook occupies; the reduction below walks
-first-column hook lengths instead of diagrams, which performs exactly
-those removals in a canonical order.
+h being the number of rows the hook occupies; the reduction below lowers
+the elements of each shape's k-subset instead of walking diagrams, which
+performs exactly those removals in a canonical order.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ from .grassmann import (
     fmt_partition,
     normalize_partition,
     part,
+    partition_subset,
     partitions_bounded,
     perm_to_partition,
     size,
+    subset_partition,
 )
 from .perms import check_index, compose, seidel_element
 
@@ -78,8 +80,6 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     nu = normalize_partition(nu)
     if size(lam) + size(mu) != size(nu) or not contains(nu, lam):
         return 0
-    if not mu:
-        return 1
     # cells in reverse reading order: rows top to bottom, right to left
     cells = [
         (r, c)
@@ -120,30 +120,25 @@ def rim_hook_reduce(nu: Sequence[int], k: int, n: int) -> Optional[tuple[Partiti
     Returns (reduced partition in the box, hooks removed, overall sign),
     or None when no removal sequence reaches the box and the class is 0.
 
-    Works on the first-column hook lengths b_i = nu_i + k - i: removing
-    one n-rim hook of height h replaces some b_i by b_i - n while passing
-    h - 1 other values, so the total sign telescopes to the parity of
-    d*(k-1) plus the crossings needed to re-sort the reduced values.
+    Works on the k-subset ``partition_subset(nu, k)``: removing one n-rim
+    hook of height h lowers one element by n past h - 1 others, so each
+    element drops to its residue in {1..n} and the total sign telescopes to
+    the parity of d*(k-1) plus the crossings needed to re-sort the residues.
     """
     check_rank(k, n)
-    nu = normalize_partition(nu)
-    if len(nu) > k:
-        raise ValueError(f"shape {nu} has more than {k} rows")
-    beta = [part(nu, i) + k - i for i in range(1, k + 1)]
-    residues = [b % n for b in beta]
+    subset = partition_subset(normalize_partition(nu), k)
+    residues = [(t - 1) % n + 1 for t in subset]
     if len(set(residues)) < k:
         return None
-    d = sum((b - r) // n for b, r in zip(beta, residues))
+    d = sum((t - r) // n for t, r in zip(subset, residues))
     crossings = sum(
         1
         for a in range(k)
         for b in range(a + 1, k)
-        if residues[a] < residues[b]
+        if residues[a] > residues[b]
     )
     sign = -1 if (d * (k - 1) + crossings) % 2 else 1
-    ordered = sorted(residues, reverse=True)
-    reduced = normalize_partition(r - (k - i) for i, r in enumerate(ordered, start=1))
-    return reduced, d, sign
+    return subset_partition(sorted(residues)), d, sign
 
 
 def classical_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QClass:

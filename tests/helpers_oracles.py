@@ -214,6 +214,17 @@ def oracle_rotated_target(u, i: int, k: int, n: int) -> tuple[int, ...]:
     return normalize_partition(a[t - 1] - t for t in range(k, 0, -1))
 
 
+def oracle_subset_partition(subset) -> tuple[int, ...]:
+    """Partition of a finite set of positive integers: for each member,
+    largest first, the number of non-members below it.  These are the row
+    lengths of the Young diagram cut off by the lattice path that steps up
+    at members and right at non-members."""
+    members = set(subset)
+    return normalize_partition(
+        sum(1 for t in range(1, s) if t not in members) for s in sorted(members, reverse=True)
+    )
+
+
 def box_pairs(k, n):
     """All ordered pairs of partitions in the k x (n-k) box."""
     parts = box_partitions(k, n)

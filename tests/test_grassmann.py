@@ -22,20 +22,28 @@ from qseidel.grassmann import (
     mask_of,
     normalize_partition,
     parse_partition,
+    partition_subset,
     partition_to_perm,
     perm_to_partition,
     subset_of,
+    subset_partition,
     translate_fp,
     translate_mask,
 )
 from qseidel.perms import inverse, min_coset_rep
 
+from helpers_oracles import oracle_subset_partition
+
 RANKS = [(k, n) for n in range(2, 7) for k in range(1, n)]
 
 
 def point_of(mu, k, n):
-    """Fixed point of the dimension-mu Schubert cell, as a mask."""
-    return mask_of(partition_to_perm(mu, k, n)[:k])
+    """Fixed point of the dimension-mu Schubert cell, as a mask: the one
+    k-subset whose oracle partition is mu."""
+    (point,) = [
+        s for s in itertools.combinations(range(1, n + 1), k) if oracle_subset_partition(s) == mu
+    ]
+    return mask_of(point)
 
 
 class TestPartitions:
@@ -89,6 +97,31 @@ class TestPartitions:
             parse_partition("1,2")
         with pytest.raises(ValueError):
             parse_partition("a,1")
+
+
+class TestSubsetPartition:
+    def test_against_oracle(self):
+        seen = 0
+        for n in range(2, 9):
+            for k in range(1, n):
+                image = []
+                for s in itertools.combinations(range(1, n + 1), k):
+                    lam = oracle_subset_partition(s)
+                    assert subset_partition(s) == lam, s
+                    assert partition_subset(lam, k) == s, s
+                    image.append(lam)
+                    seen += 1
+                assert box_partitions(k, n) == sorted(image)
+        assert seen == 494
+
+    def test_rejects_too_many_rows(self):
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 1\) has more than 2 rows"):
+            partition_subset([1, 1, 1], 2)
+
+    @pytest.mark.parametrize("subset", [(3, 2), (2, 2), (0, 1)])
+    def test_rejects_non_increasing_or_nonpositive(self, subset):
+        with pytest.raises(ValueError):
+            subset_partition(subset)
 
 
 class TestPermPartition:

@@ -78,6 +78,73 @@ def test_shift_table_frames(capsys):
     assert lines[-1] == "all rows single-term"
 
 
+# The whole table for Gr(2, 5): every shift index, both frames and q-degrees 0..2.
+SHIFT_TABLE_5_2 = """\
+shift by index 0:
+  [     ] -> q^0 [     ] (direct, single_term=yes)
+  [1    ] -> q^0 [1    ] (direct, single_term=yes)
+  [1,1  ] -> q^0 [1,1  ] (direct, single_term=yes)
+  [2    ] -> q^0 [2    ] (direct, single_term=yes)
+  [2,1  ] -> q^0 [2,1  ] (direct, single_term=yes)
+  [2,2  ] -> q^0 [2,2  ] (direct, single_term=yes)
+  [3    ] -> q^0 [3    ] (direct, single_term=yes)
+  [3,1  ] -> q^0 [3,1  ] (direct, single_term=yes)
+  [3,2  ] -> q^0 [3,2  ] (direct, single_term=yes)
+  [3,3  ] -> q^0 [3,3  ] (direct, single_term=yes)
+shift by index 1:
+  [     ] -> q^0 [3    ] (dual, single_term=yes)
+  [1    ] -> q^0 [3,1  ] (dual, single_term=yes)
+  [1,1  ] -> q^1 [     ] (dual, single_term=yes)
+  [2    ] -> q^0 [3,2  ] (dual, single_term=yes)
+  [2,1  ] -> q^1 [1    ] (dual, single_term=yes)
+  [2,2  ] -> q^1 [1,1  ] (dual, single_term=yes)
+  [3    ] -> q^0 [3,3  ] (dual, single_term=yes)
+  [3,1  ] -> q^1 [2    ] (dual, single_term=yes)
+  [3,2  ] -> q^1 [2,1  ] (dual, single_term=yes)
+  [3,3  ] -> q^1 [2,2  ] (dual, single_term=yes)
+shift by index 2:
+  [     ] -> q^0 [3,3  ] (direct, single_term=yes)
+  [1    ] -> q^1 [2    ] (direct, single_term=yes)
+  [1,1  ] -> q^1 [3    ] (direct, single_term=yes)
+  [2    ] -> q^1 [2,1  ] (direct, single_term=yes)
+  [2,1  ] -> q^1 [3,1  ] (direct, single_term=yes)
+  [2,2  ] -> q^2 [     ] (direct, single_term=yes)
+  [3    ] -> q^1 [2,2  ] (direct, single_term=yes)
+  [3,1  ] -> q^1 [3,2  ] (direct, single_term=yes)
+  [3,2  ] -> q^2 [1    ] (direct, single_term=yes)
+  [3,3  ] -> q^2 [1,1  ] (direct, single_term=yes)
+shift by index 3:
+  [     ] -> q^0 [2,2  ] (direct, single_term=yes)
+  [1    ] -> q^0 [3,2  ] (direct, single_term=yes)
+  [1,1  ] -> q^0 [3,3  ] (direct, single_term=yes)
+  [2    ] -> q^1 [1    ] (direct, single_term=yes)
+  [2,1  ] -> q^1 [2    ] (direct, single_term=yes)
+  [2,2  ] -> q^1 [3    ] (direct, single_term=yes)
+  [3    ] -> q^1 [1,1  ] (direct, single_term=yes)
+  [3,1  ] -> q^1 [2,1  ] (direct, single_term=yes)
+  [3,2  ] -> q^1 [3,1  ] (direct, single_term=yes)
+  [3,3  ] -> q^2 [     ] (direct, single_term=yes)
+shift by index 4:
+  [     ] -> q^0 [1,1  ] (direct, single_term=yes)
+  [1    ] -> q^0 [2,1  ] (direct, single_term=yes)
+  [1,1  ] -> q^0 [2,2  ] (direct, single_term=yes)
+  [2    ] -> q^0 [3,1  ] (direct, single_term=yes)
+  [2,1  ] -> q^0 [3,2  ] (direct, single_term=yes)
+  [2,2  ] -> q^0 [3,3  ] (direct, single_term=yes)
+  [3    ] -> q^1 [     ] (direct, single_term=yes)
+  [3,1  ] -> q^1 [1    ] (direct, single_term=yes)
+  [3,2  ] -> q^1 [2    ] (direct, single_term=yes)
+  [3,3  ] -> q^1 [3    ] (direct, single_term=yes)
+
+all rows single-term
+"""
+
+
+def test_shift_table_full_output(capsys):
+    assert load("shift_table").main(["--n", "5", "--k", "2"]) == 0
+    assert capsys.readouterr().out == SHIFT_TABLE_5_2
+
+
 @pytest.mark.parametrize("n,k", [("4", "0"), ("40", "2")])
 def test_shift_table_rejects_bad_rank(capsys, n, k):
     with pytest.raises(SystemExit) as exc:
