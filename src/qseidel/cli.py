@@ -3,8 +3,10 @@
 Subcommands: verify (theorem sweep or a single case), product, degree,
 neighborhood, join.  Exit code 0 means every requested check passed, 1
 means some case failed, 2 means the request itself was malformed and no
-computation ran.  Output is byte-stable: reports are rendered from
-canonically ordered records, so the worker count never changes a byte.
+computation ran.  Each subcommand builds one record, the object that
+``--format json`` prints; the text and CSV outputs are views of it.
+Output is byte-stable: records are canonically ordered, so the worker
+count never changes a byte.
 """
 
 from __future__ import annotations
@@ -33,11 +35,9 @@ def fmt_term(partition: str, q: int, coeff: int) -> str:
     return f"q^{q} * [({partition})] x{coeff}"
 
 
-def render_qclass_text(c: quantum.QClass) -> str:
-    if c.is_zero():
-        return "0\n"
-    lines = [fmt_term(t["partition"], t["q"], t["coeff"]) for t in quantum.qclass_records(c)]
-    return "\n".join(lines) + "\n"
+def render_terms_text(terms: list[dict]) -> str:
+    lines = [fmt_term(t["partition"], t["q"], t["coeff"]) for t in terms]
+    return "\n".join(lines or ["0"]) + "\n"
 
 
 def render_case_text(rec: dict) -> str:
@@ -63,13 +63,16 @@ def render_case_text(rec: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_sweep_text(rep: neighborhoods.SweepReport) -> str:
-    failures = rep.failures
-    out = [render_case_text(rec) for rec in failures]
-    sampled = f" sample_size={rep.sample_size} seed={rep.seed}" if rep.mode == "sampled" else ""
+def render_verify_text(rec: dict) -> str:
+    """A case record as its block; a sweep record as the blocks of its
+    failing cases and a summary line."""
+    if "cases" not in rec:
+        return render_case_text(rec)
+    out = [render_case_text(case) for case in rec["cases"] if not case["pass"]]
+    sampled = f" sample_size={rec['sample_size']} seed={rec['seed']}" if rec["mode"] == "sampled" else ""
     out.append(
-        f"sweep n_max={rep.n_max} mode={rep.mode}{sampled} "
-        f"cases={rep.total} pass={rep.total - len(failures)} fail={len(failures)}\n"
+        f"sweep n_max={rec['n_max']} mode={rec['mode']}{sampled} "
+        f"cases={rec['total']} pass={rec['pass']} fail={rec['fail']}\n"
     )
     return "".join(out)
 
@@ -151,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     single = args.n is not None or args.k is not None or args.root is not None or args.u is not None
     if args.n_max is not None and single:
         raise ValueError("give either --n-max or a single case (--n --k --root --u), not both")
@@ -165,79 +168,58 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             seed=args.seed,
             jobs=args.jobs,
         )
-        code = 0 if rep.all_passed else 1
-        if args.format == "json":
-            return dumps_json(rep.record()), code
-        if args.format == "csv":
-            return render_cases_csv(rep.cases), code
-        return render_sweep_text(rep), code
+        return rep.record(), 0 if rep.all_passed else 1
     if args.n is None or args.k is None or args.root is None or args.u is None:
         raise ValueError("a single case needs all of --n --k --root --u")
     sweep_only = (args.sample_size, args.seed, args.jobs)
     if args.mode == "sampled" or any(opt is not None for opt in sweep_only):
         raise ValueError("--mode sampled, --sample-size, --seed and --jobs apply only to --n-max")
     report = neighborhoods.verify_case(args.n, args.k, args.root, perms.parse_perm(args.u))
-    code = 0 if report.passed else 1
-    rec = report.record()
-    if args.format == "json":
-        return dumps_json(rec), code
-    if args.format == "csv":
-        return render_cases_csv([rec]), code
-    return render_case_text(rec), code
+    return report.record(), 0 if report.passed else 1
 
 
-def cmd_product(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
     lhs = grassmann.parse_partition(args.lhs)
     rhs = grassmann.parse_partition(args.rhs)
     prod = quantum.quantum_product(lhs, rhs, args.k, args.n)
-    if args.format == "json":
-        obj = {
-            "n": args.n,
-            "k": args.k,
-            "lhs": grassmann.fmt_partition(lhs),
-            "rhs": grassmann.fmt_partition(rhs),
-            "terms": quantum.qclass_records(prod),
-        }
-        return dumps_json(obj), 0
-    return render_qclass_text(prod), 0
+    return {
+        "n": args.n,
+        "k": args.k,
+        "lhs": grassmann.fmt_partition(lhs),
+        "rhs": grassmann.fmt_partition(rhs),
+        "terms": quantum.qclass_records(prod),
+    }, 0
 
 
-def cmd_degree(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_degree(args: argparse.Namespace) -> tuple[dict, int]:
     lam = grassmann.parse_partition(args.lam)
     frame = quantum.resolve_frame(lam, args.root, args.k, args.n)
-    if args.format == "json":
-        obj = {
-            "n": args.n,
-            "k": args.k,
-            "root": args.root,
-            "lambda": grassmann.fmt_partition(lam),
-            "beta": frame.beta,
-            "dualized": frame.dualized,
-            "d": frame.d,
-        }
-        return dumps_json(obj), 0
-    return f"{frame.d}\n", 0
+    return {
+        "n": args.n,
+        "k": args.k,
+        "root": args.root,
+        "lambda": grassmann.fmt_partition(lam),
+        "beta": frame.beta,
+        "dualized": frame.dualized,
+        "d": frame.d,
+    }, 0
 
 
-def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_neighborhood(args: argparse.Namespace) -> tuple[dict, int]:
     lam_b = grassmann.parse_partition(args.lam_b)
     mu = grassmann.parse_partition(args.mu)
     gamma = neighborhoods.gamma_fp(lam_b, mu, args.d, args.k, args.n)
-    subsets = grassmann.fmt_subsets(gamma)
-    if args.format == "json":
-        obj = {
-            "n": args.n,
-            "k": args.k,
-            "d": args.d,
-            "lambda_b": grassmann.fmt_partition(lam_b),
-            "mu": grassmann.fmt_partition(mu),
-            "gamma": subsets,
-        }
-        return dumps_json(obj), 0
-    return "".join(s + "\n" for s in subsets), 0
+    return {
+        "n": args.n,
+        "k": args.k,
+        "d": args.d,
+        "lambda_b": grassmann.fmt_partition(lam_b),
+        "mu": grassmann.fmt_partition(mu),
+        "gamma": grassmann.fmt_subsets(gamma),
+    }, 0
 
 
-def cmd_join(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_join(args: argparse.Namespace) -> tuple[dict, int]:
     w = perms.check_perm(perms.parse_perm(args.w), args.n)
     ry = perms.parse_roots(args.roots_y, args.n)
     rz = perms.parse_roots(args.roots_z, args.n)
@@ -245,39 +227,42 @@ def cmd_join(args: argparse.Namespace) -> tuple[str, int]:
     uy = perms.min_coset_rep(w, ry)
     uz = perms.min_coset_rep(w, rz)
     result = perms.join(uy, uz, rx)
-    if args.format == "json":
-        obj = {
-            "n": args.n,
-            "w": perms.fmt_perm(w),
-            "roots_y": perms.fmt_roots(ry),
-            "roots_z": perms.fmt_roots(rz),
-            "roots_meet": perms.fmt_roots(rx),
-            "u_y": perms.fmt_perm(uy),
-            "u_z": perms.fmt_perm(uz),
-            "join": None if result is None else perms.fmt_perm(result),
-        }
-        return dumps_json(obj), 0
-    return ("NoJoin" if result is None else perms.fmt_perm(result)) + "\n", 0
+    return {
+        "n": args.n,
+        "w": perms.fmt_perm(w),
+        "roots_y": perms.fmt_roots(ry),
+        "roots_z": perms.fmt_roots(rz),
+        "roots_meet": perms.fmt_roots(rx),
+        "u_y": perms.fmt_perm(uy),
+        "u_z": perms.fmt_perm(uz),
+        "join": None if result is None else perms.fmt_perm(result),
+    }, 0
 
 
-HANDLERS = {
-    "verify": cmd_verify,
-    "product": cmd_product,
-    "degree": cmd_degree,
-    "neighborhood": cmd_neighborhood,
-    "join": cmd_join,
+# subcommand -> (handler returning its record and exit code, text view of the record)
+COMMANDS = {
+    "verify": (cmd_verify, render_verify_text),
+    "product": (cmd_product, lambda rec: render_terms_text(rec["terms"])),
+    "degree": (cmd_degree, lambda rec: f"{rec['d']}\n"),
+    "neighborhood": (cmd_neighborhood, lambda rec: "".join(s + "\n" for s in rec["gamma"])),
+    "join": (cmd_join, lambda rec: ("NoJoin" if rec["join"] is None else rec["join"]) + "\n"),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, text_view = COMMANDS[args.command]
     try:
-        text, code = HANDLERS[args.command](args)
+        rec, code = handler(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    if args.format == "json":
+        sys.stdout.write(dumps_json(rec))
+    elif args.format == "csv":  # offered by verify only
+        sys.stdout.write(render_cases_csv(rec["cases"] if "cases" in rec else [rec]))
+    else:
+        sys.stdout.write(text_view(rec))
     return code
 
 

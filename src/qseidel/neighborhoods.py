@@ -454,15 +454,11 @@ class SweepReport:
         return len(self.cases)
 
     @property
-    def failures(self) -> list[dict]:
-        return [c for c in self.cases if not c["pass"]]
-
-    @property
     def all_passed(self) -> bool:
         return all(c["pass"] for c in self.cases)
 
     def record(self) -> dict:
-        fail = len(self.failures)
+        fail = sum(not c["pass"] for c in self.cases)
         return {
             "n_max": self.n_max,
             "mode": self.mode,

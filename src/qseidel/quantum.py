@@ -173,6 +173,12 @@ class DegreeMismatchError(ArithmeticError):
         self.shape = shape
         self.d = d
         self.total = total
+        self.n = n
+
+    def __reduce__(self):
+        # pickle the five fields, not the message, so a pool worker can
+        # send the error back to the parent
+        return type(self), (self.nu, self.shape, self.d, self.total, self.n)
 
 
 def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QClass:

@@ -5,8 +5,7 @@ import sys
 import pytest
 
 from qseidel import neighborhoods, perms
-from qseidel.cli import dumps_json, main, render_qclass_text
-from qseidel.quantum import QClass
+from qseidel.cli import dumps_json, main, render_terms_text
 
 
 def run(argv, capsys):
@@ -108,7 +107,7 @@ class TestProduct:
         ]
 
     def test_zero_class_renders_zero(self):
-        assert render_qclass_text(QClass(k=2, n=4, terms={})) == "0\n"
+        assert render_terms_text([]) == "0\n"
 
 
 class TestNeighborhood:
@@ -389,6 +388,66 @@ class TestVerify:
             capsys,
         )
         assert code == 2 and err.startswith("error:")
+
+
+# Bytes captured from the output of each command before the front end
+# rendered every format from one record; any change to them is a change of
+# the report format, not a refactor.
+PINNED_OUTPUTS = [
+    pytest.param(
+        ["product", "--n", "5", "--k", "2", "--lhs", "2,1", "--rhs", "2,1", "--format", "json"],
+        '{\n  "k": 2,\n  "lhs": "2,1",\n  "n": 5,\n  "rhs": "2,1",\n  "terms": [\n'
+        '    {\n      "coeff": 1,\n      "partition": "1",\n      "q": 1\n    },\n'
+        '    {\n      "coeff": 1,\n      "partition": "3,3",\n      "q": 0\n    }\n  ]\n}\n',
+        id="product-json",
+    ),
+    pytest.param(
+        ["degree", "--n", "9", "--k", "5", "--lambda", "4,3,3,2,1", "--root", "4", "--format", "json"],
+        '{\n  "beta": 5,\n  "d": 2,\n  "dualized": true,\n  "k": 5,\n'
+        '  "lambda": "4,3,3,2,1",\n  "n": 9,\n  "root": 4\n}\n',
+        id="degree-json",
+    ),
+    pytest.param(
+        ["neighborhood", "--n", "4", "--k", "2", "--d", "1", "--lambda-b", "", "--mu", "1",
+         "--format", "json"],
+        '{\n  "d": 1,\n  "gamma": [\n    "1,2",\n    "1,3",\n    "1,4",\n    "2,3",\n'
+        '    "2,4"\n  ],\n  "k": 2,\n  "lambda_b": "",\n  "mu": "1",\n  "n": 4\n}\n',
+        id="neighborhood-json",
+    ),
+    pytest.param(
+        ["join", "--n", "4", "--w", "3,4,2,1", "--roots-y", "2,3", "--roots-z", "1,2",
+         "--format", "json"],
+        '{\n  "join": "3,2,4,1",\n  "n": 4,\n  "roots_meet": "2",\n  "roots_y": "2,3",\n'
+        '  "roots_z": "1,2",\n  "u_y": "3,1,2,4",\n  "u_z": "2,3,4,1",\n  "w": "3,4,2,1"\n}\n',
+        id="join-json",
+    ),
+    pytest.param(
+        ["verify", "--n", "4", "--k", "2", "--root", "2", "--u", "1,3,2,4", "--format", "json"],
+        '{\n  "beta": 2,\n  "checks": {\n    "fp_equality": true,\n'
+        '    "g_chain_containment": true,\n    "length_identity": true,\n'
+        '    "product_single_term": true,\n    "v_match": true\n  },\n  "d": 1,\n'
+        '  "dualized": false,\n  "i": 2,\n  "k": 2,\n  "n": 4,\n  "pass": true,\n'
+        '  "u": "1,3,2,4"\n}\n',
+        id="verify-case-json",
+    ),
+    pytest.param(
+        ["verify", "--n", "4", "--k", "2", "--root", "2", "--u", "1,3,2,4"],
+        "case n=4 k=2 i=2 u=1,3,2,4 beta=2 dualized=false d=1 pass=true\n"
+        "  checks fp_equality=true g_chain_containment=true length_identity=true"
+        " product_single_term=true v_match=true\n",
+        id="verify-case-text",
+    ),
+    pytest.param(
+        ["verify", "--n-max", "6", "--mode", "sampled", "--sample-size", "5", "--seed", "3"],
+        "sweep n_max=6 mode=sampled sample_size=5 seed=3 cases=5 pass=5 fail=0\n",
+        id="verify-sampled-text",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_OUTPUTS)
+def test_pinned_output_bytes(capsys, argv, expected):
+    assert run(argv, capsys) == (0, expected, "")
 
 
 class TestParser:

@@ -1,6 +1,12 @@
 import functools
+import multiprocessing
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -556,3 +562,45 @@ class TestSweep:
         monkeypatch.setattr(neighborhoods, "_usable_cpus", lambda: 1)
         assert sweep(3, jobs=4).total == 22
         assert pool_sizes == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the forced fault reaches the workers only through fork",
+    )
+    def test_worker_fault_reaches_the_parent(self):
+        # Every reduction claims one extra q, so the first case a worker
+        # verifies raises DegreeMismatchError there. The sweep must re-raise
+        # it in the parent rather than wait forever for the lost chunk, so it
+        # runs in its own process group that a timeout can kill.
+        script = (
+            "import multiprocessing\n"
+            "from qseidel import neighborhoods, quantum\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "reduce = quantum.rim_hook_reduce\n"
+            "def one_extra_q(nu, k, n):\n"
+            "    red = reduce(nu, k, n)\n"
+            "    return red and (red[0], red[1] + 1, red[2])\n"
+            "quantum.rim_hook_reduce = one_extra_q\n"
+            "neighborhoods._usable_cpus = lambda: 2\n"
+            "try:\n"
+            "    neighborhoods.sweep(4, jobs=2)\n"
+            "except quantum.DegreeMismatchError as err:\n"
+            "    print(type(err).__name__, 2 <= err.n <= 4)\n"
+        )
+        src = str(Path(neighborhoods.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("sweep(4, jobs=2) hung on a worker's DegreeMismatchError")
+        assert (proc.returncode, out) == (0, "DegreeMismatchError True\n"), err

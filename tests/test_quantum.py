@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 
@@ -158,6 +159,14 @@ class TestProducts:
         assert err.value.shape in {(2,), (1, 1)}
         assert (err.value.d, err.value.total) == (1, 2)
         assert str(err.value.shape) in str(err.value)
+
+    def test_degree_mismatch_error_pickles(self):
+        # a pool worker sends the error back to the parent through pickle
+        err = DegreeMismatchError((2, 1), (1,), 1, 7, 4)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DegreeMismatchError
+        assert vars(back) == vars(err) == {"nu": (2, 1), "shape": (1,), "d": 1, "total": 7, "n": 4}
+        assert str(back) == str(err) and back.args == err.args
 
     @pytest.mark.parametrize("k,n", RANKS)
     def test_degree_zero_part_is_classical(self, k, n):
