@@ -174,8 +174,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     sweep_only = (args.sample_size, args.seed, args.jobs)
     if args.mode == "sampled" or any(opt is not None for opt in sweep_only):
         raise ValueError("--mode sampled, --sample-size, --seed and --jobs apply only to --n-max")
-    report = neighborhoods.verify_case(args.n, args.k, args.root, perms.parse_perm(args.u))
-    return report.record(), 0 if report.passed else 1
+    rec = neighborhoods.verify_case(args.n, args.k, args.root, perms.parse_perm(args.u))
+    return rec, 0 if rec["pass"] else 1
 
 
 def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
@@ -187,7 +187,7 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
         "k": args.k,
         "lhs": grassmann.fmt_partition(lhs),
         "rhs": grassmann.fmt_partition(rhs),
-        "terms": quantum.qclass_records(prod),
+        "terms": quantum.term_records(prod),
     }, 0
 
 

@@ -57,7 +57,7 @@ from .grassmann import (
     translate_fp,
 )
 from .perms import Perm, fmt_perm, parabolic_quotient, seidel_element
-from .quantum import SeidelCheck, qclass_records, seidel_degree, seidel_product_check
+from .quantum import seidel_degree, seidel_product_check, term_records
 
 Side = Literal["B", "Bminus"]
 
@@ -214,24 +214,15 @@ def _d_subsets(mask: int, d: int) -> tuple[int, ...]:
     return tuple(map(sum, itertools.combinations(bit_values(mask), d)))
 
 
-@dataclass(frozen=True)
-class GFlagChain:
-    """Nested coordinate subspaces cutting the neighborhood out as a
-    single Schubert variety in the rotated opposite flag."""
-
-    n: int
-    k: int
-    beta: int
-    d: int
-    subsets: tuple[int, ...]
-    basis_order: tuple[int, ...]
-
-
-def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> GFlagChain:
-    """Explicit flag chain for the neighborhood of degree d.
+def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> tuple[int, ...]:
+    """Explicit flag chain for the neighborhood of degree d: the masks of
+    nested coordinate subspaces cutting the neighborhood out as a single
+    Schubert variety in the rotated opposite flag.
 
     For s = ``partition_subset(lam, k)`` (0-indexed) the members are
     {s[k-t]..beta} for t = d+1..k, then {1..beta} + {s[k-t]..n} for t = 1..d.
+    Each is spanned by an initial segment of the basis order
+    beta, ..., 1, n, ..., beta+1.
 
     Requires beta >= k and d = seidel_degree(lam, beta, k, n); raises
     ValueError when the requested degree is inconsistent or the resulting
@@ -253,84 +244,32 @@ def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> GFlag
         if not (prev & g == prev and prev != g):
             raise ValueError(f"chain not strictly increasing at member {idx}")
         prev = g
-    return GFlagChain(n=n, k=k, beta=beta, d=d, subsets=tuple(subsets), basis_order=order)
+    return tuple(subsets)
 
 
-def chain_fixed_points(chain: GFlagChain) -> frozenset[int]:
-    """Fixed points of the Schubert variety the chain defines."""
-    return flag_fixed_points(chain.subsets, chain.k, chain.n)
+def chain_fixed_points(chain: Sequence[int], k: int, n: int) -> frozenset[int]:
+    """Fixed points of the Schubert variety the chain defines in Gr(k, n)."""
+    return flag_fixed_points(chain, k, n)
 
 
-def v_from_gflags(chain: GFlagChain) -> Partition:
-    """Codimension partition of the chain's Schubert variety, with parts
-    n - k + i - dim(G_i)."""
-    k, n = chain.k, chain.n
-    vals = [n - k + i - g.bit_count() for i, g in enumerate(chain.subsets, start=1)]
+def v_from_gflags(chain: Sequence[int], k: int, n: int) -> Partition:
+    """Codimension partition of the chain's Schubert variety in Gr(k, n),
+    with parts n - k + i - dim(G_i)."""
+    vals = [n - k + i - g.bit_count() for i, g in enumerate(chain, start=1)]
     if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
         raise ValueError(f"chain dimensions give a non-partition: {vals}")
     return check_box([v for v in vals if v], k, n)
 
 
-@dataclass
-class CaseReport:
-    """Verdict for one (n, k, i, u) case of the neighborhood theorem.
-
-    ``check`` is the case's product check, which holds its frame, degree
-    and target; the two fixed-point sets are kept as masks.  Only a
-    failing record lists the sets and the product's terms.
-    """
-
-    n: int
-    k: int
-    i: int
-    u: Perm
-    check: SeidelCheck
-    checks: dict[str, bool]
-    gamma_masks: frozenset[int]
-    target_masks: frozenset[int]
-    v_partition: Optional[Partition]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def record(self) -> dict:
-        frame = self.check.frame
-        rec = {
-            "n": self.n,
-            "k": self.k,
-            "i": self.i,
-            "u": fmt_perm(self.u),
-            "beta": frame.beta,
-            "dualized": frame.dualized,
-            "d": frame.d,
-            "pass": self.passed,
-            "checks": dict(self.checks),
-        }
-        if not self.passed:
-            rec["counterexample_detail"] = {
-                "gamma": fmt_subsets(self.gamma_masks),
-                "target": fmt_subsets(self.target_masks),
-                "gamma_minus_target": fmt_subsets(self.gamma_masks - self.target_masks),
-                "target_minus_gamma": fmt_subsets(self.target_masks - self.gamma_masks),
-                "target_partition": fmt_partition(self.check.target),
-                "v_partition": None
-                if self.v_partition is None
-                else fmt_partition(self.v_partition),
-                "length_v": None if self.v_partition is None else size(self.v_partition),
-                "length_target": size(self.check.target),
-                "product_terms": qclass_records(self.check.product),
-            }
-        return rec
-
-
-def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
-    """Run every check of the neighborhood theorem on one case.
+def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> dict:
+    """Run every check of the neighborhood theorem on one case and return
+    its record.
 
     The neighborhood, the degree and the flag chain are computed in the
     frame of the product check (the dual Grassmannian for 0 < i < k) and
     the fixed points are mapped back; i = 0 degenerates to the
-    zero-degree neighborhood being X^u itself, and has no chain.
+    zero-degree neighborhood being X^u itself, and has no chain.  Only a
+    failing record lists the two fixed-point sets and the product's terms.
     """
     pcheck = seidel_product_check(u, i, k, n)
     frame, d, target_partition = pcheck.frame, pcheck.frame.d, pcheck.target
@@ -346,8 +285,8 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         target_frame = frame.to_frame(target_partition)
         try:
             chain = g_flag_chain(frame.lam, frame.beta, d, frame.k, n)
-            checks["g_chain_containment"] = gamma <= chain_fixed_points(chain)
-            v_partition = v_from_gflags(chain)
+            checks["g_chain_containment"] = gamma <= chain_fixed_points(chain, frame.k, n)
+            v_partition = v_from_gflags(chain, frame.k, n)
         except ValueError:
             checks["g_chain_containment"] = False
             checks["v_match"] = False
@@ -363,17 +302,30 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> CaseReport:
         gamma = frozenset(dual_mask(m, n) for m in gamma)
 
     checks["fp_equality"] = gamma == target
-    return CaseReport(
-        n=n,
-        k=k,
-        i=i,
-        u=u,
-        check=pcheck,
-        checks=checks,
-        gamma_masks=gamma,
-        target_masks=target,
-        v_partition=v_partition,
-    )
+    rec = {
+        "n": n,
+        "k": k,
+        "i": i,
+        "u": fmt_perm(u),
+        "beta": frame.beta,
+        "dualized": frame.dualized,
+        "d": d,
+        "pass": all(checks.values()),
+        "checks": checks,
+    }
+    if not rec["pass"]:
+        rec["counterexample_detail"] = {
+            "gamma": fmt_subsets(gamma),
+            "target": fmt_subsets(target),
+            "gamma_minus_target": fmt_subsets(gamma - target),
+            "target_minus_gamma": fmt_subsets(target - gamma),
+            "target_partition": fmt_partition(target_partition),
+            "v_partition": None if v_partition is None else fmt_partition(v_partition),
+            "length_v": None if v_partition is None else size(v_partition),
+            "length_target": size(target_partition),
+            "product_terms": term_records(pcheck.product),
+        }
+    return rec
 
 
 Case = tuple[int, int, int, Perm]
@@ -423,9 +375,9 @@ def sweep_cases(n_max: int) -> SweepCases:
     return SweepCases(n_max)
 
 
-# module level so the pool can pickle it; workers send back records, not reports
+# module level so the pool can pickle it
 def _verify_record(case: Case) -> dict:
-    return verify_case(*case).record()
+    return verify_case(*case)
 
 
 def _usable_cpus() -> int:
@@ -440,7 +392,7 @@ DEFAULT_SEED = 0
 
 @dataclass
 class SweepReport:
-    """Aggregate of a verification sweep: one ``CaseReport.record()`` per
+    """Aggregate of a verification sweep: one ``verify_case`` record per
     case, in canonical order whatever the worker count."""
 
     n_max: int

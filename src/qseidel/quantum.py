@@ -35,31 +35,18 @@ from .grassmann import (
 from .perms import check_index, compose, seidel_element
 
 
-@dataclass
-class QClass:
-    """Element of the quantum ring: terms maps (partition, q-exponent) to
-    its integer coefficient, in the k-plane Grassmannian of n-space."""
-
-    k: int
-    n: int
-    terms: dict[tuple[Partition, int], int]
-
-    def items_canonical(self) -> list[tuple[tuple[Partition, int], int]]:
-        """Terms sorted by partition (lexicographically), then q-exponent."""
-        return sorted(self.terms.items())
-
-    def is_zero(self) -> bool:
-        return not self.terms
+# an element of the quantum ring: (partition, q-exponent) -> integer coefficient
+Terms = dict[tuple[Partition, int], int]
 
 
-def min_q_degree(c: QClass) -> int:
+def min_q_degree(terms: Terms) -> int:
     """Smallest q-exponent appearing in the class.
 
     Raises ValueError on the zero class.
     """
-    if c.is_zero():
+    if not terms:
         raise ValueError("zero class has no q-degree")
-    return min(q for _, q in c.terms)
+    return min(q for _, q in terms)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -141,21 +128,21 @@ def rim_hook_reduce(nu: Sequence[int], k: int, n: int) -> Optional[tuple[Partiti
     return subset_partition(sorted(residues)), d, sign
 
 
-def classical_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QClass:
+def classical_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> Terms:
     """Cup product of two Schubert classes; terms outside the box are dropped.
 
-    >>> classical_product((1,), (1,), 2, 4).terms
+    >>> classical_product((1,), (1,), 2, 4)
     {((1, 1), 0): 1, ((2,), 0): 1}
     """
     lam = check_box(lam, k, n)
     mu = check_box(mu, k, n)
     total = size(lam) + size(mu)
-    terms: dict[tuple[Partition, int], int] = {}
+    terms: Terms = {}
     for nu in partitions_bounded(total, k, n - k):
         c = lr_coeff(lam, mu, nu)
         if c:
             terms[(nu, 0)] = c
-    return QClass(k=k, n=n, terms=dict(sorted(terms.items())))
+    return dict(sorted(terms.items()))
 
 
 class DegreeMismatchError(ArithmeticError):
@@ -181,17 +168,17 @@ class DegreeMismatchError(ArithmeticError):
         return type(self), (self.nu, self.shape, self.d, self.total, self.n)
 
 
-def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QClass:
-    """Quantum product of two Schubert classes.
+def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> Terms:
+    """Quantum product of two Schubert classes, its terms in sorted order.
 
-    >>> quantum_product((1,), (1,), 1, 2).terms
+    >>> quantum_product((1,), (1,), 1, 2)
     {((), 1): 1}
     """
     lam = check_box(lam, k, n)
     mu = check_box(mu, k, n)
     total = size(lam) + size(mu)
     width = part(lam, 1) + part(mu, 1)
-    terms: dict[tuple[Partition, int], int] = {}
+    terms: Terms = {}
     for nu in partitions_bounded(total, k, width):
         # c^nu_{lam,mu} vanishes unless both lam and mu fit inside nu
         if not (contains(nu, lam) and contains(nu, mu)):
@@ -207,8 +194,7 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> QC
             raise DegreeMismatchError(nu, shape, d, total, n)
         key = (shape, d)
         terms[key] = terms.get(key, 0) + sign * c
-    terms = {key: coeff for key, coeff in sorted(terms.items()) if coeff}
-    return QClass(k=k, n=n, terms=terms)
+    return {key: coeff for key, coeff in sorted(terms.items()) if coeff}
 
 
 def _check_beta(beta: int, k: int, n: int) -> None:
@@ -297,7 +283,7 @@ class SeidelCheck:
 
     target: Partition
     passed: bool
-    product: QClass
+    product: Terms
     frame: Frame
 
 
@@ -314,15 +300,15 @@ def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelChec
     prod = quantum_product(frame.rectangle(n), frame.lam, frame.k, n)
     return SeidelCheck(
         target=target,
-        passed=prod.terms == {(frame.to_frame(target), frame.d): 1},
+        passed=prod == {(frame.to_frame(target), frame.d): 1},
         product=prod,
         frame=frame,
     )
 
 
-def qclass_records(c: QClass) -> list[dict]:
-    """Serializable term records in canonical order."""
+def term_records(terms: Terms) -> list[dict]:
+    """Serializable term records, sorted by partition, then q-exponent."""
     return [
         {"partition": fmt_partition(shape), "q": q, "coeff": coeff}
-        for (shape, q), coeff in c.items_canonical()
+        for (shape, q), coeff in sorted(terms.items())
     ]

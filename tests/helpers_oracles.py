@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from qseidel.grassmann import box_partitions, contains, mask_of, normalize_partition, part, size
-from qseidel.perms import is_min_coset_rep, length
+from qseidel.grassmann import mask_of, normalize_partition, part, size
+from qseidel.perms import length
 
 
 @lru_cache(maxsize=4096)
@@ -55,9 +55,15 @@ def oracle_rank_leq(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
 
 
 def oracle_join(u, v, roots, n):
-    """Join by scanning every representative and taking minima naively."""
+    """Join by scanning every representative and taking minima naively.
+
+    The minimal representatives are the permutations with x(i) < x(i+1)
+    at every root i of the parabolic.
+    """
     quotient = [
-        x for x in itertools.permutations(range(1, n + 1)) if is_min_coset_rep(x, roots)
+        x
+        for x in itertools.permutations(range(1, n + 1))
+        if all(x[i - 1] < x[i] for i in roots)
     ]
     ubs = [x for x in quotient if oracle_bruhat_leq(u, x) and oracle_bruhat_leq(v, x)]
     minima = [
@@ -67,11 +73,12 @@ def oracle_join(u, v, roots, n):
 
 
 def is_horizontal_strip(outer, inner) -> bool:
-    """Whether outer/inner is a horizontal strip (no two cells stacked)."""
-    if not contains(outer, inner):
-        return False
+    """Whether outer/inner is a horizontal strip (no two cells stacked):
+    outer_r >= inner_r >= outer_{r+1} in every row r."""
     rows = max(len(outer), len(inner))
-    return all(part(inner, r) >= part(outer, r + 1) for r in range(1, rows + 1))
+    return all(
+        part(outer, r) >= part(inner, r) >= part(outer, r + 1) for r in range(1, rows + 1)
+    )
 
 
 def oracle_pieri_coeff(lam, mu, nu) -> int:
@@ -223,9 +230,3 @@ def oracle_subset_partition(subset) -> tuple[int, ...]:
     return normalize_partition(
         sum(1 for t in range(1, s) if t not in members) for s in sorted(members, reverse=True)
     )
-
-
-def box_pairs(k, n):
-    """All ordered pairs of partitions in the k x (n-k) box."""
-    parts = box_partitions(k, n)
-    return [(a, b) for a in parts for b in parts]

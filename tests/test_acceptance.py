@@ -168,13 +168,13 @@ def test_7_ring_sanity(capsys):
             ok = ok and lr_coeff(lam, box_complement(lam, k, n), box) == 1
             for mu in parts:
                 left = quantum_product(lam, mu, k, n)
-                ok = ok and left.terms == quantum_product(mu, lam, k, n).terms
+                ok = ok and left == quantum_product(mu, lam, k, n)
                 total = size(lam) + size(mu)
-                for (shape, d), coeff in left.terms.items():
+                for (shape, d), coeff in left.items():
                     ok = ok and size(shape) + d * n == total
                     ok = ok and coeff > 0 and contains(box, shape)
-    ok = ok and quantum_product((1,), (1,), 1, 2).terms == {((), 1): 1}
-    ok = ok and quantum_product((2, 2), (1,), 2, 4).terms == {((1,), 1): 1}
+    ok = ok and quantum_product((1,), (1,), 1, 2) == {((), 1): 1}
+    ok = ok and quantum_product((2, 2), (1,), 2, 4) == {((1,), 1): 1}
     announce(capsys, "7/11", "commutative graded ring with pinned products", ok)
     assert ok
 

@@ -172,6 +172,14 @@ class TestJoin:
         assert obj["roots_meet"] == "2"
         assert obj["join"] == "3,2,4,1"
 
+    def test_answers_above_the_rank_cap(self, capsys):
+        # join reads permutations only, so MAX_RANK = 16 does not bound it
+        w = ",".join(map(str, range(1, 18)))
+        code, out, err = run(
+            ["join", "--n", "17", "--w", w, "--roots-y", "1", "--roots-z", "2"], capsys
+        )
+        assert (code, out, err) == (0, w + "\n", "")
+
     def test_no_join_rendering(self, capsys, monkeypatch):
         monkeypatch.setattr("qseidel.perms.join", lambda *a, **k: None)
         code, out, _ = run(
@@ -281,14 +289,13 @@ class TestVerify:
         assert serial == parallel
 
     def test_failure_exit_code_and_detail(self, capsys, monkeypatch):
-        real = neighborhoods.verify_case
+        real = neighborhoods.gamma_fp
 
-        def broken(n, k, i, u):
-            rep = real(n, k, i, u)
-            rep.checks["fp_equality"] = False
-            return rep
+        # the case's neighborhood loses one fixed point
+        def broken(*args):
+            return frozenset(sorted(real(*args))[1:])
 
-        monkeypatch.setattr("qseidel.neighborhoods.verify_case", broken)
+        monkeypatch.setattr(neighborhoods, "gamma_fp", broken)
         code, out, _ = run(
             ["verify", "--n", "4", "--k", "2", "--root", "2", "--u", "1,3,2,4"],
             capsys,
@@ -298,15 +305,21 @@ class TestVerify:
         assert "gamma_minus_target" in out
 
     def test_sweep_text_lists_failing_case(self, capsys, monkeypatch):
-        real = neighborhoods.verify_case
+        real_case, real_v = neighborhoods.verify_case, neighborhoods.v_from_gflags
+        case = None
 
-        def broken(n, k, i, u):
-            rep = real(n, k, i, u)
-            if (n, k, i, u) == (3, 2, 1, (1, 3, 2)):
-                rep.checks["v_match"] = False
-            return rep
+        def tracking(*args):
+            nonlocal case
+            case = args
+            return real_case(*args)
 
-        monkeypatch.setattr("qseidel.neighborhoods.verify_case", broken)
+        # a list is never equal to the tuple partition it spells, so v_match fails
+        def broken(chain, k, n):
+            v = real_v(chain, k, n)
+            return list(v) if case == (3, 2, 1, (1, 3, 2)) else v
+
+        monkeypatch.setattr(neighborhoods, "verify_case", tracking)
+        monkeypatch.setattr(neighborhoods, "v_from_gflags", broken)
         code, out, _ = run(["verify", "--n-max", "3"], capsys)
         assert code == 1
         assert out == (
@@ -331,7 +344,7 @@ class TestVerify:
             capsys,
         )
         assert code == 0
-        assert out == dumps_json(neighborhoods.verify_case(4, 2, 2, (1, 3, 2, 4)).record())
+        assert out == dumps_json(neighborhoods.verify_case(4, 2, 2, (1, 3, 2, 4)))
 
     def test_conflicting_selection(self, capsys):
         code, _, err = run(

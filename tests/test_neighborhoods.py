@@ -14,6 +14,7 @@ from helpers_oracles import oracle_gamma, oracle_projection
 from qseidel import grassmann, neighborhoods
 from qseidel.cli import render_case_text
 from qseidel.grassmann import (
+    box_complement,
     box_partitions,
     fp_schubert_b,
     fp_schubert_bminus,
@@ -24,8 +25,6 @@ from qseidel.grassmann import (
 )
 from qseidel.neighborhoods import (
     CHECK_NAMES,
-    CaseReport,
-    GFlagChain,
     chain_fixed_points,
     fp_projected_schubert,
     fp_richardson,
@@ -37,7 +36,7 @@ from qseidel.neighborhoods import (
     verify_case,
 )
 from qseidel.perms import parabolic_quotient, parse_perm
-from qseidel.quantum import seidel_degree
+from qseidel.quantum import seidel_degree, seidel_product_check
 
 
 def pairs_of(pair_set):
@@ -249,9 +248,10 @@ class TestGamma:
 class TestGFlagChain:
     def test_worked_example(self):
         chain = g_flag_chain((1,), 2, 1, 2, 4)
-        assert chain.subsets == (mask_of({1, 2}), mask_of({1, 2, 3, 4}))
-        assert chain.basis_order == (2, 1, 4, 3)
-        assert v_from_gflags(chain) == (1,)
+        assert chain == (mask_of({1, 2}), mask_of({1, 2, 3, 4}))
+        # each member is spanned by a prefix of the basis order 2, 1, 4, 3
+        assert all(g == mask_of((2, 1, 4, 3)[: g.bit_count()]) for g in chain)
+        assert v_from_gflags(chain, 2, 4) == (1,)
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
@@ -271,10 +271,9 @@ class TestGFlagChain:
             g_flag_chain((1,), 2, 1, 2, 4)
 
     def test_v_rejects_dimensions_that_give_no_partition(self):
-        subsets = (mask_of({1, 2, 3}), mask_of({1, 2}))
-        chain = GFlagChain(n=4, k=2, beta=2, d=1, subsets=subsets, basis_order=(2, 1, 4, 3))
+        chain = (mask_of({1, 2, 3}), mask_of({1, 2}))
         with pytest.raises(ValueError, match=re.escape("give a non-partition: [0, 2]")):
-            v_from_gflags(chain)
+            v_from_gflags(chain, 2, 4)
 
     def test_structure_exhaustive_small(self):
         # every admissible (lam, beta) yields a strict chain whose
@@ -285,50 +284,54 @@ class TestGFlagChain:
                     for lam in box_partitions(k, n):
                         d = seidel_degree(lam, beta, k, n)
                         chain = g_flag_chain(lam, beta, d, k, n)
-                        sizes = [g.bit_count() for g in chain.subsets]
+                        sizes = [g.bit_count() for g in chain]
                         assert sizes == sorted(set(sizes))
-                        v = v_from_gflags(chain)
+                        v = v_from_gflags(chain, k, n)
                         assert size(v) == n * (k - d) - beta * k + size(lam)
 
     def test_bottom_class_at_beta_k(self):
         # lam = 0, beta = k: the chain cuts out the opposite point orbit
         chain = g_flag_chain((), 2, 0, 2, 4)
-        assert v_from_gflags(chain) == (2, 2)
-        assert chain_fixed_points(chain) == frozenset({mask_of({1, 2})})
+        assert v_from_gflags(chain, 2, 4) == (2, 2)
+        assert chain_fixed_points(chain, 2, 4) == frozenset({mask_of({1, 2})})
 
     def test_fixed_points_contain_gamma_example(self):
         chain = g_flag_chain((1,), 2, 1, 2, 4)
-        assert gamma_fp((), (1,), 1, 2, 4) <= chain_fixed_points(chain)
+        assert gamma_fp((), (1,), 1, 2, 4) <= chain_fixed_points(chain, 2, 4)
+
+
+def frame_gamma(n, k, i, u):
+    """The case's neighborhood fixed points in the frame of its product
+    check, before they are mapped back from a dual frame."""
+    frame = seidel_product_check(u, i, k, n).frame
+    lam_b = box_complement(frame.rectangle(n), frame.k, n)
+    return gamma_fp(lam_b, frame.lam, frame.d, frame.k, n)
 
 
 class TestVerifyCase:
     def test_projective_line_cases(self):
         full = verify_case(2, 1, 1, (2, 1))
-        assert full.passed and full.check.frame.d == 1
-        assert sorted_subsets(full.gamma_masks) == ((1,), (2,))
-        assert sorted_subsets(full.target_masks) == ((1,), (2,))
+        assert full["pass"] and full["d"] == 1
+        assert sorted_subsets(frame_gamma(2, 1, 1, (2, 1))) == ((1,), (2,))
         fixed = verify_case(2, 1, 1, (1, 2))
-        assert fixed.passed and fixed.check.frame.d == 0
-        assert sorted_subsets(fixed.gamma_masks) == ((1,),)
+        assert fixed["pass"] and fixed["d"] == 0
+        assert sorted_subsets(frame_gamma(2, 1, 1, (1, 2))) == ((1,),)
 
     def test_worked_case(self):
-        rep = verify_case(4, 2, 2, (1, 3, 2, 4))
-        assert rep.passed and rep.check.frame.d == 1 and rep.check.frame.beta == 2
-        assert not rep.check.frame.dualized
-        assert rep.check.target == (1,)
-        assert rep.v_partition == (1,)
-        assert sorted_subsets(rep.gamma_masks) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
-        assert set(rep.checks) == set(CHECK_NAMES)
+        rec = verify_case(4, 2, 2, (1, 3, 2, 4))
+        assert rec["pass"] and (rec["d"], rec["beta"], rec["dualized"]) == (1, 2, False)
+        gamma = frame_gamma(4, 2, 2, (1, 3, 2, 4))
+        assert sorted_subsets(gamma) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
+        assert set(rec["checks"]) == set(CHECK_NAMES)
 
     def test_identity_root_case(self):
-        rep = verify_case(4, 2, 0, (2, 4, 1, 3))
-        assert rep.passed and rep.check.frame.d == 0 and rep.check.frame.beta is None
-        assert rep.check.target == (2, 1)
+        rec = verify_case(4, 2, 0, (2, 4, 1, 3))
+        assert rec["pass"] and rec["d"] == 0 and rec["beta"] is None
 
     def test_dualized_case(self):
-        rep = verify_case(4, 3, 1, (1, 2, 3, 4))
-        assert rep.check.frame.dualized and rep.check.frame.beta == 3
-        assert rep.passed, rep.checks
+        rec = verify_case(4, 3, 1, (1, 2, 3, 4))
+        assert rec["dualized"] and rec["beta"] == 3
+        assert rec["pass"], rec["checks"]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -337,7 +340,7 @@ class TestVerifyCase:
             verify_case(4, 2, 1, (1, 2, 3))
 
     def test_record_shape_on_pass(self):
-        rec = verify_case(4, 2, 2, (1, 3, 2, 4)).record()
+        rec = verify_case(4, 2, 2, (1, 3, 2, 4))
         assert rec["pass"] is True
         assert rec["u"] == "1,3,2,4"
         assert "counterexample_detail" not in rec
@@ -347,54 +350,49 @@ class TestVerifyCase:
         def no_terms(product):
             raise AssertionError("a passing record formatted the product")
 
-        monkeypatch.setattr(neighborhoods, "qclass_records", no_terms)
-        assert verify_case(4, 2, 2, (1, 3, 2, 4)).record()["pass"] is True
+        monkeypatch.setattr(neighborhoods, "term_records", no_terms)
+        assert verify_case(4, 2, 2, (1, 3, 2, 4))["pass"] is True
 
-    def test_record_detail_on_failure(self):
-        rep = verify_case(4, 2, 2, (1, 3, 2, 4))
-        broken = CaseReport(
-            n=rep.n,
-            k=rep.k,
-            i=rep.i,
-            u=rep.u,
-            check=rep.check,
-            checks={**rep.checks, "fp_equality": False},
-            gamma_masks=rep.gamma_masks,
-            target_masks=frozenset(mask_of(s) for s in sorted_subsets(rep.target_masks)[:3]),
-            v_partition=rep.v_partition,
-        )
-        rec = broken.record()
+    def test_record_detail_on_failure(self, monkeypatch):
+        real = neighborhoods.translate_fp
+
+        def first_three(g, pts):
+            return frozenset(mask_of(s) for s in sorted_subsets(real(g, pts))[:3])
+
+        monkeypatch.setattr(neighborhoods, "translate_fp", first_three)
+        rec = verify_case(4, 2, 2, (1, 3, 2, 4))
         assert rec["pass"] is False
+        assert [name for name, ok in rec["checks"].items() if not ok] == ["fp_equality"]
         detail = rec["counterexample_detail"]
         assert detail["gamma_minus_target"] == ["2,3", "2,4"]
         assert detail["target_minus_gamma"] == []
         assert detail["v_partition"] == "1"
         assert (detail["length_v"], detail["length_target"]) == (1, 1)
+        assert detail["product_terms"] == [{"partition": "1", "q": 1, "coeff": 1}]
 
     def test_chain_error_fails_only_the_chain_checks(self, monkeypatch):
         def no_chain(*args):
             raise ValueError("chain member 1 is not an initial segment")
 
         monkeypatch.setattr(neighborhoods, "g_flag_chain", no_chain)
-        rep = verify_case(4, 2, 2, (1, 3, 2, 4))
-        assert rep.checks == {
+        rec = verify_case(4, 2, 2, (1, 3, 2, 4))
+        assert rec["checks"] == {
             "fp_equality": True,
             "g_chain_containment": False,
             "v_match": False,
             "length_identity": False,
             "product_single_term": True,
         }
-        assert rep.v_partition is None
-        detail = rep.record()["counterexample_detail"]
+        detail = rec["counterexample_detail"]
         assert (detail["v_partition"], detail["length_v"]) == (None, None)
-        text = render_case_text(rep.record())
+        text = render_case_text(rec)
         assert "  v_partition=None target_partition=1 length_v=None length_target=1\n" in text
 
     def test_cardinality_invariant(self):
+        # dualizing maps fixed points one to one, so the frame's count is the case's
         for n, k, i, u in sweep_cases(4):
-            rep = verify_case(n, k, i, u)
-            expect = len(fp_schubert_bminus(rep.check.target, k, n))
-            assert len(rep.gamma_masks) == expect
+            target = seidel_product_check(u, i, k, n).target
+            assert len(frame_gamma(n, k, i, u)) == len(fp_schubert_bminus(target, k, n))
 
 
 @pytest.fixture
@@ -539,7 +537,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_cases_are_the_case_records(self, jobs):
-        expect = [verify_case(*case).record() for case in sweep_cases(4)]
+        expect = [verify_case(*case) for case in sweep_cases(4)]
         assert sweep(4, jobs=jobs).cases == expect
 
     def test_worker_count_invisible(self):

@@ -22,7 +22,6 @@ from qseidel.perms import min_coset_rep, parabolic_quotient, seidel_element
 from qseidel.quantum import (
     DegreeMismatchError,
     Frame,
-    QClass,
     classical_product,
     lr_coeff,
     min_q_degree,
@@ -42,12 +41,12 @@ partition_st = st.lists(st.integers(0, 5), min_size=0, max_size=4).map(
 )
 
 
-def qmul(c: QClass, mu) -> dict:
+def qmul(terms: dict, mu, k: int, n: int) -> dict:
     """Multiply a class term-by-term; used to fold triple products."""
     acc: dict = {}
-    for (shape, q), coeff in c.terms.items():
-        p = quantum_product(shape, mu, c.k, c.n)
-        for (s2, q2), c2 in p.terms.items():
+    for (shape, q), coeff in terms.items():
+        p = quantum_product(shape, mu, k, n)
+        for (s2, q2), c2 in p.items():
             key = (s2, q + q2)
             acc[key] = acc.get(key, 0) + coeff * c2
     return {key: v for key, v in sorted(acc.items()) if v}
@@ -127,23 +126,31 @@ class TestRimHookReduce:
 
 class TestProducts:
     def test_frozen_examples(self):
-        assert quantum_product((1,), (1,), 1, 2).terms == {((), 1): 1}
-        assert quantum_product((1,), (1,), 2, 4).terms == {
+        assert quantum_product((1,), (1,), 1, 2) == {((), 1): 1}
+        assert quantum_product((1,), (1,), 2, 4) == {
             ((1, 1), 0): 1,
             ((2,), 0): 1,
         }
-        assert quantum_product((2, 1), (1,), 2, 4).terms == {
+        assert quantum_product((2, 1), (1,), 2, 4) == {
             ((), 1): 1,
             ((2, 2), 0): 1,
         }
         # the (4,1) term dies to a residue collision
-        assert quantum_product((2, 1), (2,), 2, 4).terms == {((1,), 1): 1}
-        assert quantum_product((2, 2), (1,), 2, 4).terms == {((1,), 1): 1}
-        assert quantum_product((2, 2), (2, 1), 2, 4).terms == {((2, 1), 1): 1}
-        assert quantum_product((2, 2), (2, 2), 2, 4).terms == {((), 2): 1}
-        assert quantum_product((2, 1), (2, 1), 2, 5).terms == {
+        assert quantum_product((2, 1), (2,), 2, 4) == {((1,), 1): 1}
+        assert quantum_product((2, 2), (1,), 2, 4) == {((1,), 1): 1}
+        assert quantum_product((2, 2), (2, 1), 2, 4) == {((2, 1), 1): 1}
+        assert quantum_product((2, 2), (2, 2), 2, 4) == {((), 2): 1}
+        assert quantum_product((2, 1), (2, 1), 2, 5) == {
             ((1,), 1): 1,
             ((3, 3), 0): 1,
+        }
+        # (2, 2, 1) does not fit inside lam + mu = (3, 2), so enumerating
+        # nu only up to lam + mu would lose it: in Gr(3, 5) it is the product
+        assert lr_coeff((1,), (2, 2), (2, 2, 1)) == 1
+        assert quantum_product((1,), (2, 2), 3, 5) == {((2, 2, 1), 0): 1}
+        assert quantum_product((1,), (2, 2), 3, 6) == {
+            ((2, 2, 1), 0): 1,
+            ((3, 2), 0): 1,
         }
 
     def test_inconsistent_reduction_degree_raises(self, monkeypatch):
@@ -174,15 +181,15 @@ class TestProducts:
             for mu in box_partitions(k, n):
                 quant = quantum_product(lam, mu, k, n)
                 classical = classical_product(lam, mu, k, n)
-                got = {key: c for key, c in quant.terms.items() if key[1] == 0}
-                assert got == classical.terms
+                got = {key: c for key, c in quant.items() if key[1] == 0}
+                assert got == classical
 
     @pytest.mark.parametrize("k,n", RANKS)
     def test_grading_box_and_positivity(self, k, n):
         for lam in box_partitions(k, n):
             for mu in box_partitions(k, n):
                 total = size(lam) + size(mu)
-                for (shape, d), coeff in quantum_product(lam, mu, k, n).terms.items():
+                for (shape, d), coeff in quantum_product(lam, mu, k, n).items():
                     assert size(shape) + d * n == total
                     assert contains(((n - k),) * k, shape)
                     assert coeff > 0
@@ -193,21 +200,21 @@ class TestProducts:
         for a in range(len(parts)):
             for b in range(a, len(parts)):
                 assert (
-                    quantum_product(parts[a], parts[b], k, n).terms
-                    == quantum_product(parts[b], parts[a], k, n).terms
+                    quantum_product(parts[a], parts[b], k, n)
+                    == quantum_product(parts[b], parts[a], k, n)
                 )
 
     def test_unit(self):
         for k, n in RANKS:
             for lam in box_partitions(k, n):
-                assert quantum_product((), lam, k, n).terms == {(lam, 0): 1}
+                assert quantum_product((), lam, k, n) == {(lam, 0): 1}
 
     @pytest.mark.parametrize("k,n", RANKS)
     def test_rank_level_duality(self, k, n):
         for lam in box_partitions(k, n):
             for mu in box_partitions(k, n):
-                primal = quantum_product(lam, mu, k, n).terms
-                dual = quantum_product(conjugate(lam), conjugate(mu), n - k, n).terms
+                primal = quantum_product(lam, mu, k, n)
+                dual = quantum_product(conjugate(lam), conjugate(mu), n - k, n)
                 assert {(conjugate(s), d): c for (s, d), c in primal.items()} == dual
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
@@ -216,8 +223,8 @@ class TestProducts:
         parts = box_partitions(k, n)
         for _ in range(25):
             a, b, c = (rng.choice(parts) for _ in range(3))
-            left = qmul(quantum_product(a, b, k, n), c)
-            right = qmul(quantum_product(b, c, k, n), a)
+            left = qmul(quantum_product(a, b, k, n), c, k, n)
+            right = qmul(quantum_product(b, c, k, n), a, k, n)
             assert left == right, (a, b, c)
 
     @pytest.mark.parametrize("k,n", RANKS)
@@ -235,7 +242,7 @@ class TestProducts:
         assert min_q_degree(quantum_product((2, 2), (1,), 2, 4)) == 1
         assert min_q_degree(quantum_product((2, 2), (2, 2), 2, 4)) == 2
         with pytest.raises(ValueError):
-            min_q_degree(QClass(k=2, n=4, terms={}))
+            min_q_degree({})
 
 
 class TestSeidelShift:
@@ -314,7 +321,7 @@ class TestSeidelShift:
         assert chk.passed and not chk.frame.dualized
         assert chk.frame.beta == 2 and chk.frame.d == 1
         assert chk.target == (1,)
-        assert chk.product.terms == {((1,), 1): 1}
+        assert chk.product == {((1,), 1): 1}
 
     def test_check_dual_case(self):
         chk = seidel_product_check((1, 2, 3, 4, 5), 1, 3, 5)
@@ -322,7 +329,7 @@ class TestSeidelShift:
         assert chk.frame.beta == 4 and chk.frame.d == 0
         assert chk.target == (2,)
         # the product itself lives in the transposed frame
-        assert chk.product.terms == {((1, 1), 0): 1}
+        assert chk.product == {((1, 1), 0): 1}
 
     def test_check_ignores_coset_choice(self):
         rep = seidel_product_check((2, 4, 1, 3), 2, 2, 4)
