@@ -117,16 +117,26 @@ def box_complement(lam: Sequence[int], k: int, n: int) -> Partition:
     return normalize_partition(n - k - part(lam, i) for i in range(k, 0, -1))
 
 
-def partitions_bounded(total: int, rows: int, width: int) -> Iterator[Partition]:
-    """Partitions of ``total`` with at most ``rows`` parts, each <= ``width``."""
+def partitions_bounded(
+    total: int, rows: int, width: int, floor: Partition = ()
+) -> Iterator[Partition]:
+    """Partitions of ``total`` with at most ``rows`` parts, each <= ``width``,
+    whose diagrams contain that of the partition ``floor``.
+
+    >>> list(partitions_bounded(4, 2, 3, floor=(2, 1)))
+    [(3, 1), (2, 2)]
+    """
     if total == 0:
-        yield ()
+        if not floor:
+            yield ()
         return
     if rows == 0:
         return
-    lo = -(-total // rows)  # smallest feasible first part
-    for first in range(min(total, width), lo - 1, -1):
-        for rest in partitions_bounded(total - first, rows - 1, first):
+    below = floor[1:]
+    # smallest feasible first part; the largest leaves room for the floor below it
+    lo = max(part(floor, 1), -(-total // rows))
+    for first in range(min(total - size(below), width), lo - 1, -1):
+        for rest in partitions_bounded(total - first, rows - 1, first, below):
             yield (first,) + rest
 
 
@@ -309,6 +319,23 @@ def dual_mask(mask: int, n: int) -> int:
     check_mask(mask, n)
     low, high = _byte_tables(longest_element(n))
     return ((1 << n) - 1) ^ low[mask & 0xFF] ^ high[mask >> 8]
+
+
+def dual_fp(pts: Iterable[int], n: int) -> frozenset[int]:
+    """``dual_mask`` of every subset in a fixed-point set, checked and
+    looked up once for the whole set.
+
+    >>> sorted(subset_of(m) for m in dual_fp([mask_of({1}), mask_of({2})], 3))
+    [(1, 2), (1, 3)]
+    """
+    masks = tuple(pts)
+    # the extremes are the masks that could fall outside {1..n}; an empty
+    # set still has its rank checked
+    check_mask(min(masks, default=0), n)
+    check_mask(max(masks, default=0), n)
+    low, high = _byte_tables(longest_element(n))
+    full = (1 << n) - 1
+    return frozenset(full ^ low[m & 0xFF] ^ high[m >> 8] for m in masks)
 
 
 def dual_case(lam: Iterable[int], k: int, n: int) -> tuple[Partition, int]:

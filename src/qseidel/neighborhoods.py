@@ -23,10 +23,18 @@ parts, built at most once per sweep block.  ``fp_richardson`` is the one
 place that intersects two projections: it splits each opposite-side
 fixed point M as A + U and keeps the near parts L at A that lie below
 min U.
+
+A case with 0 < i < k is computed in the dual Grassmannian, in exactly
+the frame of one primal case of the (n, n-k) block, its twin.  An
+exhaustive sweep verifies each such case right after its twin
+(``SweepCases.twin_order``), so one-entry memos of the frame-level work
+here (``_frame_checks``) and of the product in ``quantum`` compute each
+frame once without holding more than one frame at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from multiprocessing import Pool
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 from .grassmann import (
     MAX_RANK,
@@ -44,7 +52,7 @@ from .grassmann import (
     bit_values,
     box_complement,
     check_box,
-    dual_mask,
+    dual_fp,
     flag_fixed_points,
     fmt_partition,
     fmt_subsets,
@@ -57,7 +65,7 @@ from .grassmann import (
     translate_fp,
 )
 from .perms import Perm, fmt_perm, parabolic_quotient, seidel_element
-from .quantum import seidel_degree, seidel_product_check, term_records
+from .quantum import seidel_class, seidel_degree, seidel_product_check, term_records
 
 Side = Literal["B", "Bminus"]
 
@@ -268,7 +276,9 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> dict:
     The neighborhood, the degree and the flag chain are computed in the
     frame of the product check (the dual Grassmannian for 0 < i < k) and
     the fixed points are mapped back; i = 0 degenerates to the
-    zero-degree neighborhood being X^u itself, and has no chain.  Only a
+    zero-degree neighborhood being X^u itself, and has no chain.  The
+    frame-level work is ``_frame_checks``, shared by the two cases of one
+    frame; every check that reads the case's own (u, i) runs here.  Only a
     failing record lists the two fixed-point sets and the product's terms.
     """
     pcheck = seidel_product_check(u, i, k, n)
@@ -276,30 +286,18 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> dict:
     target = translate_fp(seidel_element(n, -i % n), fp_schubert_bminus(target_partition, k, n))
     checks = dict.fromkeys(CHECK_NAMES, True)
     checks["product_single_term"] = pcheck.passed
-    v_partition: Optional[Partition] = None
-
-    # the rotated bottom variety, indexed by dimension: the rectangle's complement
-    lam_b = box_complement(frame.rectangle(n), frame.k, n)
-    gamma = gamma_fp(lam_b, frame.lam, d, frame.k, n)
+    gamma, contained, v_partition = _frame_checks(frame.k, frame.lam, frame.beta, d, n)
     if frame.beta is not None:
         target_frame = frame.to_frame(target_partition)
-        try:
-            chain = g_flag_chain(frame.lam, frame.beta, d, frame.k, n)
-            checks["g_chain_containment"] = gamma <= chain_fixed_points(chain, frame.k, n)
-            v_partition = v_from_gflags(chain, frame.k, n)
-        except ValueError:
-            checks["g_chain_containment"] = False
-            checks["v_match"] = False
-            checks["length_identity"] = False
-        if v_partition is not None:
-            length_v = size(v_partition)
-            checks["v_match"] = v_partition == target_frame
-            checks["length_identity"] = (
-                length_v == n * (frame.k - d) - frame.beta * frame.k + size(frame.lam)
-                and length_v == size(target_frame)
-            )
+        checks["g_chain_containment"] = contained
+        checks["v_match"] = v_partition == target_frame
+        checks["length_identity"] = v_partition is not None and (
+            size(v_partition)
+            == n * (frame.k - d) - frame.beta * frame.k + size(frame.lam)
+            == size(target_frame)
+        )
     if frame.dualized:
-        gamma = frozenset(dual_mask(m, n) for m in gamma)
+        gamma = dual_fp(gamma, n)
 
     checks["fp_equality"] = gamma == target
     rec = {
@@ -328,6 +326,33 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> dict:
     return rec
 
 
+# Keyed on the frame alone, never on the case: a dual case verified right
+# after the primal case of its frame (``SweepCases.twin_order``) reads the
+# primal case's result.
+@lru_cache(maxsize=1)
+def _frame_checks(
+    k: int, lam: Partition, beta: Optional[int], d: int, n: int
+) -> tuple[frozenset[int], bool, Optional[Partition]]:
+    """The frame-level checks of ``verify_case``: the neighborhood's fixed
+    points in the frame, whether the flag chain's variety contains them,
+    and the chain's codimension partition.
+
+    With no beta (i = 0) there is no chain: the containment holds and the
+    partition is None.  A chain that raises ValueError fails the
+    containment and gives None.
+    """
+    rectangle = () if beta is None else seidel_class(beta, k, n)
+    # the rotated bottom variety, indexed by dimension: the rectangle's complement
+    gamma = gamma_fp(box_complement(rectangle, k, n), lam, d, k, n)
+    if beta is None:
+        return gamma, True, None
+    try:
+        chain = g_flag_chain(lam, beta, d, k, n)
+        return gamma, gamma <= chain_fixed_points(chain, k, n), v_from_gflags(chain, k, n)
+    except ValueError:
+        return gamma, False, None
+
+
 Case = tuple[int, int, int, Perm]
 
 
@@ -340,6 +365,10 @@ class SweepCases(abc.Sequence):
     cases never lists the other blocks.  Iteration goes through
     indexing, and the small cache of quotients serves its sequential
     reads, one quotient per block.
+
+    ``twin_order`` lists the same cases in the order an exhaustive sweep
+    verifies them, each dual case right after the primal case that shares
+    its frame.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -362,6 +391,42 @@ class SweepCases(abc.Sequence):
         n, k = self.blocks[b]
         i, r = divmod(j - self.starts[b], comb(n, k))
         return (n, k, i, _block_reps(n, k)[r])
+
+    def twin_order(self) -> Iterator[tuple[int, Case]]:
+        """Every case once with its index, block by block.
+
+        A case with 0 < i < k is computed in the frame of the primal case
+        (n, n-k, n-i, u*) with n-i > n-k, so it comes right after that
+        case instead of in its own block.  The dual case is built from its
+        twin, not looked up, so each block's quotient is still built once.
+        """
+        for b, (n, k) in enumerate(self.blocks):
+            reps = _block_reps(n, k)
+            for i in itertools.chain([0], range(k, n)):
+                for r, u in enumerate(reps):
+                    yield self.starts[b] + i * len(reps) + r, (n, k, i, u)
+                    if i > k:
+                        yield self._twin(n, k, i, u)
+
+    def _twin(self, n: int, k: int, i: int, u: Perm) -> tuple[int, Case]:
+        # u* = w0 u w0: its first n-k values n+1-s, for s outside u[:k],
+        # ascend, and so do the rest
+        twin = tuple(n + 1 - s for s in reversed(u))
+        # blocks run (2, 1), (3, 1), (3, 2), (4, 1), ...
+        b = (n - 1) * (n - 2) // 2 + n - k - 1
+        j = self.starts[b] + (n - i) * comb(n, k) + _lex_rank(twin[: n - k], n)
+        return j, (n, n - k, n - i, twin)
+
+
+def _lex_rank(subset: Sequence[int], n: int) -> int:
+    """Position of an ascending subset of {1..n} among the subsets of its
+    size in lexicographic order.
+
+    The subsets after it are counted from the end: those that first
+    exceed it at its t-th element s (t from 0) number comb(n - s, m - t).
+    """
+    m = len(subset)
+    return comb(n, m) - 1 - sum(comb(n - s, m - t) for t, s in enumerate(subset))
 
 
 @lru_cache(maxsize=4)
@@ -423,6 +488,25 @@ class SweepReport:
         }
 
 
+class _Order:
+    """The cases of a sweep in the order it verifies them, each with its
+    canonical index.  ``pairs`` starts a fresh pass.  Iterating gives the
+    cases alone; with the length, ``Pool.map`` reads them as it sends them
+    instead of listing them first."""
+
+    def __init__(self, size: int, pairs: Callable[[], Iterator[tuple[int, Case]]]) -> None:
+        self.size, self.pairs = size, pairs
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[Case]:
+        return (case for _, case in self.pairs())
+
+    def slots(self) -> Iterator[int]:
+        return (j for j, _ in self.pairs())
+
+
 def sweep(
     n_max: int,
     mode: str = "exhaustive",
@@ -432,9 +516,11 @@ def sweep(
 ) -> SweepReport:
     """Verify every case up to n_max, or a seeded sample of them.
 
-    ``jobs`` > 1 fans cases over a process pool of at most one worker
-    per usable CPU; results keep the canonical order either way, so
-    emitted reports are byte-stable.
+    An exhaustive sweep verifies the cases in ``twin_order``, a sampled
+    one in sorted order.  ``jobs`` > 1 fans them over a process pool of at
+    most one worker per usable CPU in the same order.  Each record is
+    filed at its case's canonical index either way, so emitted reports
+    are byte-stable.
     """
     if jobs is not None:
         if jobs < 1:
@@ -449,18 +535,23 @@ def sweep(
             seed = DEFAULT_SEED
         cases = sweep_cases(n_max)
         cases = sorted(random.Random(seed).sample(cases, min(sample_size, len(cases))))
+        order = _Order(len(cases), functools.partial(enumerate, cases))
     elif mode == "exhaustive":
         if sample_size is not None or seed is not None:
             raise ValueError("sample_size and seed apply only to sampled mode")
         cases = sweep_cases(n_max)
+        order = _Order(len(cases), cases.twin_order)
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'sampled': {mode!r}")
     if jobs is not None and jobs > 1 and len(cases) > 1:
         chunk = max(1, len(cases) // (jobs * 8))
         with Pool(jobs) as pool:
-            records = pool.map(_verify_record, cases, chunksize=chunk)
+            done = zip(order.slots(), pool.map(_verify_record, order, chunksize=chunk))
     else:
-        records = [_verify_record(case) for case in cases]
+        done = ((j, _verify_record(case)) for j, case in order.pairs())
+    records: list = [None] * len(cases)
+    for j, rec in done:
+        records[j] = rec
     return SweepReport(
         n_max=n_max,
         mode=mode,

@@ -12,6 +12,7 @@ performs exactly those removals in a canonical order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -174,15 +175,20 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> Te
     >>> quantum_product((1,), (1,), 1, 2)
     {((), 1): 1}
     """
-    lam = check_box(lam, k, n)
-    mu = check_box(mu, k, n)
+    return dict(_quantum_terms(check_box(lam, k, n), check_box(mu, k, n), k, n))
+
+
+# An exhaustive sweep verifies each dual case right after the primal case of
+# the same frame, so the one product they share is still held here.
+@lru_cache(maxsize=1)
+def _quantum_terms(
+    lam: Partition, mu: Partition, k: int, n: int
+) -> tuple[tuple[tuple[Partition, int], int], ...]:
     total = size(lam) + size(mu)
-    width = part(lam, 1) + part(mu, 1)
+    # c^nu_{lam,mu} vanishes unless both lam and mu fit inside nu
+    floor = tuple(map(max, itertools.zip_longest(lam, mu, fillvalue=0)))
     terms: Terms = {}
-    for nu in partitions_bounded(total, k, width):
-        # c^nu_{lam,mu} vanishes unless both lam and mu fit inside nu
-        if not (contains(nu, lam) and contains(nu, mu)):
-            continue
+    for nu in partitions_bounded(total, k, part(lam, 1) + part(mu, 1), floor):
         c = lr_coeff(lam, mu, nu)
         if c == 0:
             continue
@@ -194,7 +200,7 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> Te
             raise DegreeMismatchError(nu, shape, d, total, n)
         key = (shape, d)
         terms[key] = terms.get(key, 0) + sign * c
-    return {key: coeff for key, coeff in sorted(terms.items()) if coeff}
+    return tuple((key, coeff) for key, coeff in sorted(terms.items()) if coeff)
 
 
 def _check_beta(beta: int, k: int, n: int) -> None:

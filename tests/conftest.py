@@ -1,4 +1,15 @@
+import pytest
 from hypothesis import settings
+
+from qseidel import neighborhoods, quantum
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def cold_frame_memos():
+    """Start every test without the product and frame checks that the
+    one-entry memos kept from an earlier test."""
+    quantum._quantum_terms.cache_clear()
+    neighborhoods._frame_checks.cache_clear()

@@ -305,7 +305,7 @@ class TestVerify:
         assert "gamma_minus_target" in out
 
     def test_sweep_text_lists_failing_case(self, capsys, monkeypatch):
-        real_case, real_v = neighborhoods.verify_case, neighborhoods.v_from_gflags
+        real_case, real_frame = neighborhoods.verify_case, neighborhoods._frame_checks
         case = None
 
         def tracking(*args):
@@ -313,13 +313,16 @@ class TestVerify:
             case = args
             return real_case(*args)
 
-        # a list is never equal to the tuple partition it spells, so v_match fails
-        def broken(chain, k, n):
-            v = real_v(chain, k, n)
-            return list(v) if case == (3, 2, 1, (1, 3, 2)) else v
+        # The dual case shares its frame checks with its twin (3, 1, 2, (2, 1, 3)),
+        # verified just before it, so the fault goes in where verify_case reads
+        # them.  A list is never equal to the tuple partition it spells, so
+        # v_match fails.
+        def broken(*frame):
+            gamma, contained, v = real_frame(*frame)
+            return gamma, contained, list(v) if case == (3, 2, 1, (1, 3, 2)) else v
 
         monkeypatch.setattr(neighborhoods, "verify_case", tracking)
-        monkeypatch.setattr(neighborhoods, "v_from_gflags", broken)
+        monkeypatch.setattr(neighborhoods, "_frame_checks", broken)
         code, out, _ = run(["verify", "--n-max", "3"], capsys)
         assert code == 1
         assert out == (

@@ -13,6 +13,7 @@ from qseidel.grassmann import (
     conjugate,
     contains,
     dual_case,
+    dual_fp,
     dual_mask,
     fmt_partition,
     fp_schubert_b,
@@ -336,6 +337,31 @@ class TestDuality:
         message = rf"need 1 <= n <= 16 and 0 <= mask < 2\^n, got mask={mask}, n={n}$"
         with pytest.raises(ValueError, match=message):
             dual_mask(mask, n)
+
+    def test_dual_fp_is_dual_mask_on_each_point(self):
+        rng = random.Random(21)
+        for n in (1, 2, 5, 8, 9, 16):
+            pts = [rng.getrandbits(n) for _ in range(40)]
+            assert dual_fp(pts, n) == frozenset(dual_mask(m, n) for m in pts)
+            assert dual_fp(iter(pts), n) == dual_fp(pts, n)
+            assert dual_fp([], n) == frozenset()
+
+    @pytest.mark.parametrize(
+        "masks,n,bad",
+        [
+            ([1, mask_of({5})], 3, mask_of({5})),
+            ([1 << 16], 16, 1 << 16),
+            ([-1, 2], 4, -1),
+            ([1], 0, 1),
+            ([], 0, 0),
+            ([], 17, 0),
+            ([], -1, 0),
+        ],
+    )
+    def test_dual_fp_rejects_masks_outside_the_rank(self, masks, n, bad):
+        message = rf"need 1 <= n <= 16 and 0 <= mask < 2\^n, got mask={bad}, n={n}$"
+        with pytest.raises(ValueError, match=message):
+            dual_fp(masks, n)
 
     @pytest.mark.parametrize("k,n", RANKS)
     def test_fixed_point_correspondence(self, k, n):

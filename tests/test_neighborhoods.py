@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers_oracles import oracle_gamma, oracle_projection
-from qseidel import grassmann, neighborhoods
+from qseidel import grassmann, neighborhoods, quantum
 from qseidel.cli import render_case_text
 from qseidel.grassmann import (
     box_complement,
@@ -19,6 +19,7 @@ from qseidel.grassmann import (
     fp_schubert_b,
     fp_schubert_bminus,
     mask_of,
+    perm_to_partition,
     size,
     sorted_subsets,
     subset_of,
@@ -36,7 +37,7 @@ from qseidel.neighborhoods import (
     verify_case,
 )
 from qseidel.perms import parabolic_quotient, parse_perm
-from qseidel.quantum import seidel_degree, seidel_product_check
+from qseidel.quantum import resolve_frame, seidel_degree, seidel_product_check
 
 
 def pairs_of(pair_set):
@@ -602,3 +603,65 @@ class TestSweep:
             proc.communicate()
             pytest.fail("sweep(4, jobs=2) hung on a worker's DegreeMismatchError")
         assert (proc.returncode, out) == (0, "DegreeMismatchError True\n"), err
+
+
+def cold_record(case):
+    """The case's record, verified with neither memo holding an earlier case."""
+    quantum._quantum_terms.cache_clear()
+    neighborhoods._frame_checks.cache_clear()
+    return verify_case(*case)
+
+
+def frame_key(n, k, i, u):
+    """What the frame-level work of a case depends on: not whether it was dualized."""
+    frame = resolve_frame(perm_to_partition(u, k, n), i, k, n)
+    return (n, frame.k, frame.lam, frame.beta, frame.d)
+
+
+class TestTwinOrder:
+    @pytest.mark.parametrize("n_max", range(2, 9))
+    def test_is_a_permutation_of_the_indices(self, n_max):
+        cases = sweep_cases(n_max)
+        assert sorted(j for j, _ in cases.twin_order()) == list(range(len(cases)))
+
+    def test_each_dual_case_follows_its_twin(self):
+        cases = sweep_cases(8)
+        prev = None
+        for j, case in cases.twin_order():
+            assert case == cases[j]
+            n, k, i, _ = case
+            if 0 < i < k:
+                assert prev[:3] == (n, n - k, n - i)
+                assert frame_key(*prev) == frame_key(*case)
+            prev = case
+
+    def test_builds_each_block_once(self, quotient_calls):
+        # twins are built from their primal case, not looked up in their block
+        assert len(list(sweep_cases(7).twin_order())) == 1482
+        assert len(quotient_calls) == 21
+
+    def test_each_frame_is_computed_once(self):
+        frames = {frame_key(*case) for case in sweep_cases(6)}
+        assert len(frames) < len(sweep_cases(6))
+        sweep(6)
+        assert neighborhoods._frame_checks.cache_info().misses == len(frames)
+        assert quantum._quantum_terms.cache_info().misses == len(frames)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_sweep_records_are_the_cold_case_records(self, jobs):
+        expect = [cold_record(case) for case in sweep_cases(7)]
+        assert sweep(7, jobs=jobs).cases == expect
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_frames_that_differ_only_in_beta_keep_their_records(self, swap):
+        # both are Gr(2, 5) frames with lam = (3, 1) and d = 1; beta is 2 and 4
+        first, second = (5, 2, 2, (2, 5, 1, 3, 4)), (5, 2, 4, (2, 5, 1, 3, 4))
+        if swap:
+            first, second = second, first
+        assert {frame_key(*first), frame_key(*second)} == {
+            (5, 2, (3, 1), 2, 1),
+            (5, 2, (3, 1), 4, 1),
+        }
+        expect = cold_record(second)
+        cold_record(first)  # leaves the first frame in the memos
+        assert verify_case(*second) == expect

@@ -14,6 +14,7 @@ from qseidel.grassmann import (
     conjugate,
     contains,
     normalize_partition,
+    part,
     partition_to_perm,
     perm_to_partition,
     size,
@@ -50,6 +51,23 @@ def qmul(terms: dict, mu, k: int, n: int) -> dict:
             key = (s2, q + q2)
             acc[key] = acc.get(key, 0) + coeff * c2
     return {key: v for key, v in sorted(acc.items()) if v}
+
+
+def filtered_product(lam, mu, k: int, n: int) -> dict:
+    """The quantum product summed over every nu of the right size with at
+    most k rows and width lam_1 + mu_1, keeping those that contain lam and
+    mu: the enumerate-and-filter that direct enumeration replaced."""
+    total = size(lam) + size(mu)
+    terms: dict = {}
+    for nu in partitions_bounded(total, k, part(lam, 1) + part(mu, 1)):
+        if not (contains(nu, lam) and contains(nu, mu)):
+            continue
+        c = lr_coeff(lam, mu, nu)
+        red = rim_hook_reduce(nu, k, n)
+        if c and red is not None:
+            shape, d, sign = red
+            terms[(shape, d)] = terms.get((shape, d), 0) + sign * c
+    return {key: v for key, v in sorted(terms.items()) if v}
 
 
 class TestLittlewoodRichardson:
@@ -152,6 +170,30 @@ class TestProducts:
             ((2, 2, 1), 0): 1,
             ((3, 2), 0): 1,
         }
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_enumerate_and_filter(self, n):
+        for k in range(1, n):
+            parts = box_partitions(k, n)
+            for lam in parts:
+                for mu in parts:
+                    assert quantum_product(lam, mu, k, n) == filtered_product(lam, mu, k, n)
+
+    def test_shapes_above_a_floor_are_the_filtered_shapes(self):
+        floors = [()] + box_partitions(3, 7)
+        for total in range(9):
+            for rows in range(4):
+                for width in range(5):
+                    every = list(partitions_bounded(total, rows, width))
+                    for floor in floors:
+                        assert list(partitions_bounded(total, rows, width, floor)) == [
+                            nu for nu in every if contains(nu, floor)
+                        ]
+
+    def test_returns_a_fresh_dict(self):
+        # the product is memoized; a caller's edits must not reach the memo
+        quantum_product((1,), (1,), 2, 4).clear()
+        assert quantum_product((1,), (1,), 2, 4) == {((1, 1), 0): 1, ((2,), 0): 1}
 
     def test_inconsistent_reduction_degree_raises(self, monkeypatch):
         # (1) * (1) in Gr(2, 4) reduces (2) and (1, 1), both of size 2;
