@@ -118,25 +118,31 @@ def box_complement(lam: Sequence[int], k: int, n: int) -> Partition:
 
 
 def partitions_bounded(
-    total: int, rows: int, width: int, floor: Partition = ()
+    total: int, ceiling: Sequence[int], floor: Partition = ()
 ) -> Iterator[Partition]:
-    """Partitions of ``total`` with at most ``rows`` parts, each <= ``width``,
-    whose diagrams contain that of the partition ``floor``.
+    """Partitions of ``total`` whose diagrams contain that of the partition
+    ``floor`` and lie inside that of ``ceiling``, in reverse lexicographic
+    order.
 
-    >>> list(partitions_bounded(4, 2, 3, floor=(2, 1)))
+    ``ceiling`` is weakly decreasing and may end in zeros; the box of at
+    most ``rows`` parts, each <= ``width``, is ``(width,) * rows``.
+
+    >>> list(partitions_bounded(4, (3, 3), floor=(2, 1)))
     [(3, 1), (2, 2)]
     """
     if total == 0:
         if not floor:
             yield ()
         return
-    if rows == 0:
+    if not ceiling:
         return
     below = floor[1:]
-    # smallest feasible first part; the largest leaves room for the floor below it
-    lo = max(part(floor, 1), -(-total // rows))
-    for first in range(min(total - size(below), width), lo - 1, -1):
-        for rest in partitions_bounded(total - first, rows - 1, first, below):
+    for first in range(min(total - size(below), ceiling[0]), part(floor, 1) - 1, -1):
+        # the rows below hold at most the ceiling's parts, each cut to first
+        under = tuple(min(c, first) for c in ceiling[1:])
+        if first + size(under) < total:
+            return  # a smaller first part holds less still
+        for rest in partitions_bounded(total - first, under, below):
             yield (first,) + rest
 
 

@@ -22,7 +22,8 @@ side depends only on (beta, k, n, d); it is cached, and so is its
 parts, built at most once per sweep block.  ``fp_richardson`` is the one
 place that intersects two projections: it splits each opposite-side
 fixed point M as A + U and keeps the near parts L at A that lie below
-min U.
+min U.  ``gamma_fp`` unites the k-subsets between those pairs in one
+bitset indexed by mask value, 2^n bits, so no member is listed twice.
 
 A case with 0 < i < k is computed in the dual Grassmannian, in exactly
 the frame of one primal case of the (n, n-k) block, its twin.  An
@@ -197,6 +198,10 @@ def fp_richardson(
     return frozenset(out)
 
 
+# turns the binary digits "0" and "1" into the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def gamma_fp(
     lam_b: Iterable[int], lam_bm: Iterable[int], d: int, k: int, n: int
 ) -> frozenset[int]:
@@ -205,21 +210,28 @@ def gamma_fp(
     ``lam_b`` indexes the B-stable variety by dimension, ``lam_bm`` the
     opposite variety by codimension.
 
+    The members are the sets A + X for the pairs (A, B) of
+    ``fp_richardson`` and the d-subsets X of B - A.  Pairs are grouped by
+    their difference W = B - A, and each group's inner sets A are held as
+    one bitset with bit A set (2^n bits, 8 KB at the rank cap).  Shifting
+    that bitset left by X adds X to every A at once, since A and X are
+    disjoint, so the union is one OR per d-subset of each distinct W, and
+    its set bits are read off once.
+
     >>> fmt_subsets(gamma_fp((), (1,), 1, 2, 4))
     ['1,2', '1,3', '1,4', '2,3', '2,4']
     """
-    out: set[int] = set()
+    groups: dict[int, int] = {}
     for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
-        out.update(map(a.__or__, _d_subsets(b ^ a, d)))
-    return frozenset(out)
-
-
-# Keyed on differences B - A of 2d elements.  At the rank cap the surviving
-# pairs share few of them: the case (16, 9, 3) has 286.
-@lru_cache(maxsize=1 << 12)
-def _d_subsets(mask: int, d: int) -> tuple[int, ...]:
-    """Masks of the d-subsets of ``mask``."""
-    return tuple(map(sum, itertools.combinations(bit_values(mask), d)))
+        diff = b ^ a
+        groups[diff] = groups.get(diff, 0) | 1 << a
+    bits = 0
+    for diff, inner in groups.items():
+        for x in map(sum, itertools.combinations(bit_values(diff), d)):
+            bits |= inner << x
+    # the binary digits after "0b", reversed so that byte m is 1 when bit m is set
+    digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
+    return frozenset(itertools.compress(itertools.count(), digits))
 
 
 def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> tuple[int, ...]:

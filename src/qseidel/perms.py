@@ -74,7 +74,13 @@ def compose(a: Sequence[int], b: Sequence[int]) -> Perm:
     (2, 3, 1)
     """
     a = check_perm(a)
-    return tuple(a[t - 1] for t in check_perm(b, len(a)))
+    return _compose(a, check_perm(b, len(a)))
+
+
+def _compose(a: Sequence[int], b: Sequence[int]) -> Perm:
+    """``compose`` without its checks, for permutations of one rank that
+    the caller has already checked or built."""
+    return tuple(a[t - 1] for t in b)
 
 
 def inverse(a: Sequence[int]) -> Perm:
@@ -169,13 +175,14 @@ def parabolic_quotient(n: int, roots: Iterable[int]) -> list[Perm]:
     These are exactly the permutations ascending within each glued block,
     so they are built block by block: each prefix is extended by every
     ascending choice of the block's values from those it has not used,
-    rather than by filtering all n! permutations.
+    rather than by filtering all n! permutations.  The last block has one
+    choice, the unused values, which are kept ascending and appended.
 
     >>> parabolic_quotient(3, {1})
     [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     """
     partial: list[tuple[Perm, Perm]] = [((), identity(n))]
-    for blk in position_blocks(n, roots):
+    for blk in position_blocks(n, roots)[:-1]:
         partial = [
             (prefix + chosen, left)
             for prefix, unused in partial
@@ -185,7 +192,7 @@ def parabolic_quotient(n: int, roots: Iterable[int]) -> list[Perm]:
                 reversed(list(itertools.combinations(unused, len(unused) - len(blk)))),
             )
         ]
-    return [prefix for prefix, _ in partial]
+    return [prefix + unused for prefix, unused in partial]
 
 
 def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[Perm]:

@@ -2,8 +2,11 @@
 
 Classes are integer combinations of Schubert classes times powers of the
 quantum parameter q, with deg q = n.  Products are computed by expanding
-in Littlewood-Richardson coefficients over partitions with at most k
-rows and unbounded width, then reducing each shape modulo n-rim hooks.
+in Littlewood-Richardson coefficients over the partitions with at most k
+rows that lie between two bounds, then reducing each shape modulo n-rim
+hooks.  A shape of lam * mu contains both factors (the floor) and lies
+under ``weyl_ceiling(lam, mu, k)`` (the ceiling); for a rectangle class
+times any class the two bounds leave one shape.
 Every removed hook contributes one factor of q and the sign (-1)^(k-h),
 h being the number of rows the hook occupies; the reduction below lowers
 the elements of each shape's k-subset instead of walking diagrams, which
@@ -33,7 +36,7 @@ from .grassmann import (
     size,
     subset_partition,
 )
-from .perms import check_index, compose, seidel_element
+from .perms import _compose, check_index, seidel_element
 
 
 # an element of the quantum ring: (partition, q-exponent) -> integer coefficient
@@ -102,6 +105,27 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     return total
 
 
+def weyl_ceiling(lam: Sequence[int], mu: Sequence[int], rows: int) -> Partition:
+    """Upper bound on the shapes of the product lam * mu: the first
+    ``rows`` parts of the partition whose t-th part is the least
+    lam_i + mu_j over i + j = t + 1.  Trailing parts may be zero.
+
+    A nonzero ``lr_coeff(lam, mu, nu)`` implies nu_t <= lam_i + mu_j
+    whenever i + j = t + 1: these are Weyl's inequalities for the
+    eigenvalues of Hermitian matrices A + B = C, and c^nu_{lam,mu} != 0
+    exactly when lam, mu and nu are such eigenvalues (Fulton, "Eigenvalues,
+    invariant factors, highest weights, and Schubert calculus", Bull. AMS
+    2000).
+
+    >>> weyl_ceiling((2, 1), (1, 1), 5)
+    (3, 2, 1, 1, 0)
+    """
+    return tuple(
+        min(part(lam, i) + part(mu, t + 1 - i) for i in range(1, t + 1))
+        for t in range(1, rows + 1)
+    )
+
+
 def rim_hook_reduce(nu: Sequence[int], k: int, n: int) -> Optional[tuple[Partition, int, int]]:
     """Reduce a shape with at most k rows modulo n-rim hooks.
 
@@ -139,7 +163,7 @@ def classical_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> 
     mu = check_box(mu, k, n)
     total = size(lam) + size(mu)
     terms: Terms = {}
-    for nu in partitions_bounded(total, k, n - k):
+    for nu in partitions_bounded(total, (n - k,) * k):
         c = lr_coeff(lam, mu, nu)
         if c:
             terms[(nu, 0)] = c
@@ -185,10 +209,10 @@ def _quantum_terms(
     lam: Partition, mu: Partition, k: int, n: int
 ) -> tuple[tuple[tuple[Partition, int], int], ...]:
     total = size(lam) + size(mu)
-    # c^nu_{lam,mu} vanishes unless both lam and mu fit inside nu
+    # c^nu_{lam,mu} vanishes unless nu contains lam and mu and lies under their ceiling
     floor = tuple(map(max, itertools.zip_longest(lam, mu, fillvalue=0)))
     terms: Terms = {}
-    for nu in partitions_bounded(total, k, part(lam, 1) + part(mu, 1), floor):
+    for nu in partitions_bounded(total, weyl_ceiling(lam, mu, k), floor):
         c = lr_coeff(lam, mu, nu)
         if c == 0:
             continue
@@ -302,7 +326,8 @@ def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelChec
     transfers back unchanged.
     """
     frame = resolve_frame(perm_to_partition(u, k, n), i, k, n)
-    target = perm_to_partition(compose(seidel_element(n, i), u), k, n)
+    # perm_to_partition has checked u and the rank, resolve_frame i
+    target = perm_to_partition(_compose(seidel_element(n, i), u), k, n)
     prod = quantum_product(frame.rectangle(n), frame.lam, frame.k, n)
     return SeidelCheck(
         target=target,

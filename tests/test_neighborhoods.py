@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import multiprocessing
 import os
 import random
@@ -18,6 +20,7 @@ from qseidel.grassmann import (
     box_partitions,
     fp_schubert_b,
     fp_schubert_bminus,
+    k_subset_masks,
     mask_of,
     perm_to_partition,
     size,
@@ -37,7 +40,7 @@ from qseidel.neighborhoods import (
     verify_case,
 )
 from qseidel.perms import parabolic_quotient, parse_perm
-from qseidel.quantum import resolve_frame, seidel_degree, seidel_product_check
+from qseidel.quantum import resolve_frame, seidel_class, seidel_degree, seidel_product_check
 
 
 def pairs_of(pair_set):
@@ -167,8 +170,6 @@ class TestGamma:
                     assert gamma_fp(box, mu, 0, k, n) == fp_schubert_bminus(mu, k, n)
 
     def test_max_degree_unconstrained(self):
-        import math
-
         for n in range(2, 6):
             for k in range(1, n):
                 d = min(k, n - k)
@@ -244,6 +245,73 @@ class TestGamma:
                 fp_schubert_b(lb, k, n), fp_schubert_bminus(lbm, k, n), d, k, n
             )
             assert gamma_fp(lb, lbm, d, k, n) == expect
+
+
+def listed_boxes(lam_b, lam_bm, d, k, n):
+    """The neighborhood as the union, over the pairs (A, B) of
+    ``fp_richardson``, of the k-subsets between A and B, each listed."""
+    out = set()
+    for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
+        out.update(a | mask_of(x) for x in itertools.combinations(subset_of(b ^ a), d))
+    return frozenset(out)
+
+
+def seeded_frames(seed):
+    """One Seidel frame (lam_b, lam, d, k, n) for each n = 9..16."""
+    rng = random.Random(seed)
+    for n in range(9, 17):
+        k = rng.randrange(1, n)
+        beta = rng.randrange(k, n)
+        lam = rng.choice(box_partitions(k, n))
+        lam_b = box_complement(seidel_class(beta, k, n), k, n)
+        yield lam_b, lam, seidel_degree(lam, beta, k, n), k, n
+
+
+class TestGammaBitset:
+    """``gamma_fp`` reads its members off one bitset indexed by mask value;
+    these compare it with the listed union beyond the first byte of masks
+    and at the rank cap."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_frames_match_the_listed_union(self, seed):
+        for frame in seeded_frames(seed):
+            got = gamma_fp(*frame)
+            assert got == listed_boxes(*frame), frame
+            assert got  # a Seidel neighborhood holds the target's fixed points
+
+    def test_reaches_masks_beyond_one_byte(self):
+        # the degree-2 neighborhood of the point {1, 2, 3} of Gr(3, 12): the
+        # 3-subsets that meet it, 90 of them above element 8
+        got = gamma_fp((), (), 2, 3, 12)
+        assert got == listed_boxes((), (), 2, 3, 12)
+        assert got == {m for m in k_subset_masks(12, 3) if m & 0b111}
+        assert len(got) == math.comb(12, 3) - math.comb(9, 3)
+        assert max(got) == mask_of({3, 11, 12})
+
+    def test_degree_zero_is_the_diagonal_at_the_rank_cap(self):
+        rng = random.Random(16)
+        for k in (1, 5, 8, 15):
+            parts = box_partitions(k, 16)
+            for _ in range(3):
+                lb, lbm = rng.choice(parts), rng.choice(parts)
+                expect = fp_schubert_b(lb, k, 16) & fp_schubert_bminus(lbm, k, 16)
+                assert gamma_fp(lb, lbm, 0, k, 16) == expect == listed_boxes(lb, lbm, 0, k, 16)
+
+    def test_empty_neighborhood(self):
+        # the B-stable point {1..8} lies below no other fixed point
+        assert fp_richardson((), (8,) * 8, 0, 8, 16) == frozenset()
+        assert gamma_fp((), (8,) * 8, 0, 8, 16) == frozenset()
+        assert gamma_fp((), (1,), 0, 1, 9) == frozenset()
+
+    def test_sampled_frame_at_the_rank_cap(self):
+        # a frame of the sampled n = 16 sweep: Gr(7, 16), beta = 13, d = 3
+        lam_b = box_complement(seidel_class(13, 7, 16), 7, 16)
+        lam = (9, 9, 9, 1, 1)
+        assert seidel_degree(lam, 13, 7, 16) == 3
+        assert len(fp_richardson(lam_b, lam, 3, 7, 16)) == 59220
+        got = gamma_fp(lam_b, lam, 3, 7, 16)
+        assert len(got) == 11430
+        assert got == listed_boxes(lam_b, lam, 3, 7, 16)
 
 
 class TestGFlagChain:

@@ -220,6 +220,13 @@ class TestCosets:
     def test_quotient_full_parabolic(self):
         assert parabolic_quotient(4, {1, 2, 3}) == [(1, 2, 3, 4)]
 
+    @pytest.mark.parametrize("k", [1, 7, 8, 15])
+    def test_grassmannian_quotient_at_the_rank_cap(self, k):
+        # the first block is a k-subset in lexicographic order, the last its complement
+        every = set(range(1, 17))
+        expect = [c + tuple(sorted(every - set(c))) for c in itertools.combinations(range(1, 17), k)]
+        assert parabolic_quotient(16, every - {16, k}) == expect
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_quotient_matches_filter_of_all_permutations(self, n):
         # root t glues positions t and t+1, so a representative ascends there;

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 import re
@@ -33,6 +34,7 @@ from qseidel.quantum import (
     seidel_class,
     seidel_degree,
     seidel_product_check,
+    weyl_ceiling,
 )
 
 RANKS = [(k, n) for n in range(2, 6) for k in range(1, n)]
@@ -59,7 +61,7 @@ def filtered_product(lam, mu, k: int, n: int) -> dict:
     mu: the enumerate-and-filter that direct enumeration replaced."""
     total = size(lam) + size(mu)
     terms: dict = {}
-    for nu in partitions_bounded(total, k, part(lam, 1) + part(mu, 1)):
+    for nu in partitions_bounded(total, (part(lam, 1) + part(mu, 1),) * k):
         if not (contains(nu, lam) and contains(nu, mu)):
             continue
         c = lr_coeff(lam, mu, nu)
@@ -68,6 +70,17 @@ def filtered_product(lam, mu, k: int, n: int) -> dict:
             shape, d, sign = red
             terms[(shape, d)] = terms.get((shape, d), 0) + sign * c
     return {key: v for key, v in sorted(terms.items()) if v}
+
+
+def partitions_of(total: int, largest: int | None = None):
+    """Every partition of ``total`` (parts at most ``largest``), in reverse
+    lexicographic order."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest or total), 0, -1):
+        for rest in partitions_of(total - first, first):
+            yield (first,) + rest
 
 
 class TestLittlewoodRichardson:
@@ -87,7 +100,7 @@ class TestLittlewoodRichardson:
     def test_row_pieri_oracle(self):
         for lam in box_partitions(3, 6):
             for p in range(0, 4):
-                for nu in partitions_bounded(size(lam) + p, 4, 6):
+                for nu in partitions_bounded(size(lam) + p, (6,) * 4):
                     assert lr_coeff(lam, (p,), nu) == oracle_pieri_coeff(
                         lam, (p,), nu
                     ), (lam, p, nu)
@@ -96,7 +109,7 @@ class TestLittlewoodRichardson:
         for lam in box_partitions(3, 5):
             for p in range(1, 4):
                 col = (1,) * p
-                for nu in partitions_bounded(size(lam) + p, 5, 4):
+                for nu in partitions_bounded(size(lam) + p, (4,) * 5):
                     expect = oracle_pieri_coeff(conjugate(lam), (p,), conjugate(nu))
                     assert lr_coeff(lam, col, nu) == expect
 
@@ -110,6 +123,26 @@ class TestLittlewoodRichardson:
             conjugate(lam), conjugate(mu), conjugate(nu)
         )
 
+
+class TestWeylCeiling:
+    def test_frozen_values(self):
+        assert weyl_ceiling((), (), 3) == (0, 0, 0)
+        assert weyl_ceiling((2, 1), (1, 1), 5) == (3, 2, 1, 1, 0)
+        assert weyl_ceiling((3, 3), (2, 1), 2) == (5, 4)
+        assert weyl_ceiling((4, 1), (3, 3, 2), 3) == (7, 4, 3)
+
+    def test_nonzero_coefficients_lie_under_the_ceiling(self):
+        triples = 0
+        for total in range(10):
+            shapes = list(partitions_of(total))
+            for size_lam in range(total + 1):
+                for lam in partitions_of(size_lam):
+                    for mu in partitions_of(total - size_lam):
+                        for nu in shapes:
+                            triples += 1
+                            if lr_coeff(lam, mu, nu):
+                                assert contains(weyl_ceiling(lam, mu, len(nu)), nu), (lam, mu, nu)
+        assert triples == 15830
 
 class TestRimHookReduce:
     def test_in_box_untouched(self):
@@ -138,7 +171,7 @@ class TestRimHookReduce:
     def test_matches_strip_removal_oracle(self, k, n):
         # every shape a product of two box classes can produce
         for total in range(2 * k * (n - k) + 1):
-            for nu in partitions_bounded(total, k, 2 * (n - k)):
+            for nu in partitions_bounded(total, (2 * (n - k),) * k):
                 assert rim_hook_reduce(nu, k, n) == oracle_reduce(nu, k, n), nu
 
 
@@ -171,24 +204,64 @@ class TestProducts:
             ((3, 2), 0): 1,
         }
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_enumerate_and_filter(self, n):
-        for k in range(1, n):
-            parts = box_partitions(k, n)
-            for lam in parts:
-                for mu in parts:
-                    assert quantum_product(lam, mu, k, n) == filtered_product(lam, mu, k, n)
+        # every box pair up to n = 7, then seeded pairs, which the ceiling cuts
+        # down to a few shapes or one
+        if n < 8:
+            pairs = [
+                (lam, mu, k)
+                for k in range(1, n)
+                for lam in box_partitions(k, n)
+                for mu in box_partitions(k, n)
+            ]
+        else:
+            rng = random.Random(n)
+            pairs = []
+            for _ in range(20):
+                k = rng.randrange(1, n)
+                parts = box_partitions(k, n)
+                pairs.append((rng.choice(parts), rng.choice(parts), k))
+        for lam, mu, k in pairs:
+            assert quantum_product(lam, mu, k, n) == filtered_product(lam, mu, k, n), (lam, mu, k)
 
     def test_shapes_above_a_floor_are_the_filtered_shapes(self):
         floors = [()] + box_partitions(3, 7)
         for total in range(9):
             for rows in range(4):
                 for width in range(5):
-                    every = list(partitions_bounded(total, rows, width))
+                    every = list(partitions_bounded(total, (width,) * rows))
                     for floor in floors:
-                        assert list(partitions_bounded(total, rows, width, floor)) == [
+                        assert list(partitions_bounded(total, (width,) * rows, floor)) == [
                             nu for nu in every if contains(nu, floor)
                         ]
+
+    def test_shapes_between_a_floor_and_a_ceiling_are_the_filtered_shapes(self):
+        # against every partition of the total, so that no box is assumed
+        boxes = [(width,) * rows for rows in range(4) for width in range(5)]
+        ceilings = boxes + box_partitions(3, 7) + [(4, 2, 2, 0), (3, 3, 1, 1), (2, 0, 0)]
+        floors = [(), (1,), (2, 1), (1, 1, 1), (3, 1)]
+        for total in range(10):
+            every = list(partitions_of(total))
+            for ceiling in ceilings:
+                for floor in floors:
+                    assert list(partitions_bounded(total, ceiling, floor)) == [
+                        nu for nu in every if contains(ceiling, nu) and contains(nu, floor)
+                    ], (total, ceiling, floor)
+
+    def test_rectangle_products_list_one_shape(self, monkeypatch):
+        # the ceiling of (n-beta)^k and lam is their row sum, so only it is listed
+        calls = []
+        monkeypatch.setattr(quantum, "lr_coeff", lambda *args: calls.append(args) or 1)
+        for n in range(2, 8):
+            for k in range(1, n):
+                for rect in [()] + [seidel_class(beta, k, n) for beta in range(k, n)]:
+                    for lam in box_partitions(k, n):
+                        calls.clear()
+                        quantum._quantum_terms.cache_clear()
+                        quantum_product(rect, lam, k, n)
+                        total = tuple(map(sum, itertools.zip_longest(rect, lam, fillvalue=0)))
+                        assert calls == [(rect, lam, total)]
 
     def test_returns_a_fresh_dict(self):
         # the product is memoized; a caller's edits must not reach the memo
