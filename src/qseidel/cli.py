@@ -220,7 +220,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_join(args: argparse.Namespace) -> tuple[dict, int]:
-    w = perms.check_perm(perms.parse_perm(args.w), args.n)
+    w = perms.check_perm(perms.parse_ints(args.w, "permutation"), args.n)
     ry = perms.parse_roots(args.roots_y, args.n)
     rz = perms.parse_roots(args.roots_z, args.n)
     rx = ry & rz

@@ -51,7 +51,6 @@ from .grassmann import (
     MAX_RANK,
     Partition,
     bit_values,
-    box_complement,
     check_box,
     dual_fp,
     flag_fixed_points,
@@ -66,7 +65,7 @@ from .grassmann import (
     translate_fp,
 )
 from .perms import Perm, fmt_perm, parabolic_quotient, seidel_element
-from .quantum import seidel_class, seidel_degree, seidel_product_check, term_records
+from .quantum import _check_beta, _degree, seidel_product_check, term_records
 
 Side = Literal["B", "Bminus"]
 
@@ -249,10 +248,10 @@ def g_flag_chain(lam: Iterable[int], beta: int, d: int, k: int, n: int) -> tuple
     chain fails to be strictly increasing initial segments.
     """
     lam = check_box(lam, k, n)
-    if d != seidel_degree(lam, beta, k, n):
-        raise ValueError(
-            f"degree {d} inconsistent with seidel_degree={seidel_degree(lam, beta, k, n)}"
-        )
+    _check_beta(beta, k, n)
+    expected = _degree(lam, beta, k)
+    if d != expected:
+        raise ValueError(f"degree {d} inconsistent with seidel_degree={expected}")
     order = tuple(range(beta, 0, -1)) + tuple(range(n, beta, -1))
     low = partition_subset(lam, k)
     subsets = [interval_mask(low[k - t], beta) for t in range(d + 1, k + 1)]
@@ -353,9 +352,10 @@ def _frame_checks(
     partition is None.  A chain that raises ValueError fails the
     containment and gives None.
     """
-    rectangle = () if beta is None else seidel_class(beta, k, n)
-    # the rotated bottom variety, indexed by dimension: the rectangle's complement
-    gamma = gamma_fp(box_complement(rectangle, k, n), lam, d, k, n)
+    # the rotated bottom variety, indexed by dimension: the box complement
+    # (beta - k)^k of the rectangle, or the whole box when there is no beta
+    side = n - k if beta is None else beta - k
+    gamma = gamma_fp((side,) * k, lam, d, k, n)
     if beta is None:
         return gamma, True, None
     try:

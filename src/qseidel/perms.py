@@ -158,15 +158,14 @@ def min_coset_rep(u: Sequence[int], roots: Iterable[int]) -> Perm:
     (1, 3, 2)
     """
     w = check_perm(u)
-    out: list[int] = []
-    for blk in position_blocks(len(w), roots):
-        out.extend(sorted(w[blk.start - 1 : blk.stop - 1]))
-    return tuple(out)
+    return _coset_rep(w, position_blocks(len(w), roots))
 
 
-def is_min_coset_rep(u: Sequence[int], roots: Iterable[int]) -> bool:
-    """Whether u is already the minimal representative of its coset."""
-    return tuple(u) == min_coset_rep(u, roots)
+def _coset_rep(w: Perm, blocks: Iterable[range]) -> Perm:
+    """``min_coset_rep`` without its checks, for a permutation and the
+    ``position_blocks`` of its rank that the caller has already checked
+    or built."""
+    return tuple(v for blk in blocks for v in sorted(w[blk.start - 1 : blk.stop - 1]))
 
 
 def parabolic_quotient(n: int, roots: Iterable[int]) -> list[Perm]:
@@ -213,14 +212,14 @@ def join(u: Sequence[int], v: Sequence[int], roots: Iterable[int]) -> Optional[P
     """
     u = check_perm(u)
     v = check_perm(v, len(u))
-    rs = frozenset(roots)
+    blocks = position_blocks(len(u), roots)
     for w in (u, v):
-        if not is_min_coset_rep(w, rs):
+        if _coset_rep(w, blocks) != w:
             raise ValueError(f"not a minimal coset representative: {w}")
     out: list[int] = []
     prev: set[int] = set()
     # the last block's cut is n, where both prefixes hold all of 1..n
-    for blk in position_blocks(len(u), rs):
+    for blk in blocks:
         c = blk.stop - 1
         cur = set(map(max, sorted(u[:c]), sorted(v[:c])))
         if not prev <= cur:

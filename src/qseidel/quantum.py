@@ -26,7 +26,6 @@ from .grassmann import (
     check_rank,
     conjugate,
     contains,
-    dual_case,
     fmt_partition,
     normalize_partition,
     part,
@@ -243,8 +242,13 @@ def seidel_degree(lam: Sequence[int], beta: int, k: int, n: int) -> int:
     """
     lam = check_box(lam, k, n)
     _check_beta(beta, k, n)
-    hits = [j for j in range(1, k + 1) if part(lam, j) - (beta - k) >= j]
-    return max(hits, default=0)
+    return _degree(lam, beta, k)
+
+
+def _degree(lam: Partition, beta: int, k: int) -> int:
+    """``seidel_degree`` without its checks, for a box partition and a
+    beta in k..n-1 that the caller has already checked or built."""
+    return max((j for j in range(1, k + 1) if part(lam, j) - (beta - k) >= j), default=0)
 
 
 def seidel_class(beta: int, k: int, n: int) -> Partition:
@@ -293,13 +297,18 @@ def resolve_frame(lam: Sequence[int], i: int, k: int, n: int) -> Frame:
     """
     lam = check_box(lam, k, n)
     check_index(i, n)
+    return _frame(lam, i, k, n)
+
+
+def _frame(lam: Partition, i: int, k: int, n: int) -> Frame:
+    """``resolve_frame`` without its checks, for a box partition and an
+    index that the caller has already checked or built."""
     if i == 0:
         return Frame(k=k, lam=lam, beta=None, dualized=False, d=0)
     if i >= k:
-        return Frame(k=k, lam=lam, beta=i, dualized=False, d=seidel_degree(lam, i, k, n))
-    lam_dual, k_dual = dual_case(lam, k, n)
-    d = seidel_degree(lam_dual, n - i, k_dual, n)
-    return Frame(k=k_dual, lam=lam_dual, beta=n - i, dualized=True, d=d)
+        return Frame(k=k, lam=lam, beta=i, dualized=False, d=_degree(lam, i, k))
+    lam = conjugate(lam)  # the dual Grassmannian, where beta = n - i >= n - k
+    return Frame(k=n - k, lam=lam, beta=n - i, dualized=True, d=_degree(lam, n - i, n - k))
 
 
 @dataclass(frozen=True)
@@ -325,9 +334,11 @@ def seidel_product_check(u: Sequence[int], i: int, k: int, n: int) -> SeidelChec
     the degree formula's hypothesis beta >= k holds; the verdict
     transfers back unchanged.
     """
-    frame = resolve_frame(perm_to_partition(u, k, n), i, k, n)
-    # perm_to_partition has checked u and the rank, resolve_frame i
-    target = perm_to_partition(_compose(seidel_element(n, i), u), k, n)
+    lam = perm_to_partition(u, k, n)
+    # perm_to_partition has checked u and the rank, seidel_element checks i
+    shift = seidel_element(n, i)
+    frame = _frame(lam, i, k, n)
+    target = perm_to_partition(_compose(shift, u), k, n)
     prod = quantum_product(frame.rectangle(n), frame.lam, frame.k, n)
     return SeidelCheck(
         target=target,

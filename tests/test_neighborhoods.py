@@ -323,10 +323,16 @@ class TestGFlagChain:
         assert v_from_gflags(chain, 2, 4) == (1,)
 
     def test_rejects_wrong_degree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degree 0 inconsistent with seidel_degree=1"):
             g_flag_chain((1,), 2, 0, 2, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degree 1 inconsistent with seidel_degree=0"):
             g_flag_chain((), 2, 1, 2, 4)
+        # beta < k: unchecked, the degree formula gives 1 and a chain would be built
+        with pytest.raises(ValueError, match="need k <= beta <= n-1, got beta=1, k=2, n=4"):
+            g_flag_chain((), 1, 1, 2, 4)
+        # the box is checked first: a partition outside it has no degree
+        with pytest.raises(ValueError, match=re.escape("partition (3,) does not fit in a 2x2 box")):
+            g_flag_chain((3,), 2, 1, 2, 4)
 
     # no valid input reaches the chain's own checks: patch its masks
     def test_rejects_a_member_that_is_not_an_initial_segment(self, monkeypatch):
@@ -403,9 +409,9 @@ class TestVerifyCase:
         assert rec["pass"], rec["checks"]
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 0 <= i <= n-1, got i=4"):
             verify_case(4, 2, 4, (1, 2, 3, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank mismatch: 3 vs n=4"):
             verify_case(4, 2, 1, (1, 2, 3))
 
     def test_record_shape_on_pass(self):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,6 @@ from qseidel.perms import (
     fmt_perm,
     identity,
     inverse,
-    is_min_coset_rep,
     join,
     length,
     longest_element,
@@ -183,6 +183,10 @@ class TestCosets:
 
     def test_min_coset_rep_example(self):
         assert min_coset_rep((3, 1, 2), {1}) == (1, 3, 2)
+        with pytest.raises(ValueError, match=re.escape("not a permutation of 1..3: (3, 3, 2)")):
+            min_coset_rep((3, 3, 2), {1})
+        with pytest.raises(ValueError, match=re.escape("roots must lie in 1..2: [3]")):
+            min_coset_rep((3, 1, 2), {3})
 
     def test_min_coset_rep_seidel_translate(self):
         # w0 pre-composed with the 5th cocharacter power at n=9, k=4
@@ -197,7 +201,7 @@ class TestCosets:
             blocks = position_blocks(n, roots)
             for u in perms_of(n):
                 rep = min_coset_rep(u, roots)
-                assert is_min_coset_rep(rep, roots)
+                assert min_coset_rep(rep, roots) == rep
                 # same coset: same value multiset on every block
                 for blk in blocks:
                     assert sorted(u[t - 1] for t in blk) == [rep[t - 1] for t in blk]
@@ -215,7 +219,7 @@ class TestCosets:
             assert len(q) == expect
             assert q == sorted(q)
             assert len(set(q)) == len(q)
-            assert all(is_min_coset_rep(x, roots) for x in q)
+            assert all(min_coset_rep(x, roots) == x for x in q)
 
     def test_quotient_full_parabolic(self):
         assert parabolic_quotient(4, {1, 2, 3}) == [(1, 2, 3, 4)]
@@ -265,8 +269,13 @@ class TestJoin:
         assert min_coset_rep(w, {2}) == (3, 2, 4, 1)
 
     def test_rejects_non_representative(self):
-        with pytest.raises(ValueError):
+        message = re.escape("not a minimal coset representative: (2, 1, 3)")
+        with pytest.raises(ValueError, match=message):
             join((2, 1, 3), (1, 2, 3), frozenset({1}))
+        with pytest.raises(ValueError, match=message):
+            join((1, 2, 3), (2, 1, 3), frozenset({1}))
+        with pytest.raises(ValueError, match=re.escape("roots must lie in 1..2: [3]")):
+            join((1, 2, 3), (1, 2, 3), frozenset({3}))
 
     def test_rank_9_projections_join_to_the_meet_projection(self):
         # incomparable projections of w onto two parabolics with a block of six

@@ -372,16 +372,16 @@ class TestSeidelShift:
             assert seidel_degree(((n - k),) * k, k, k, n) == min(k, n - k)
 
     def test_degree_rejects_bad_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need k <= beta <= n-1, got beta=1, k=2, n=4"):
             seidel_degree((1,), 1, 2, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need k <= beta <= n-1, got beta=4, k=2, n=4"):
             seidel_degree((1,), 4, 2, 4)
 
     def test_class_frozen(self):
         assert seidel_class(5, 4, 9) == (4, 4, 4, 4)
         assert seidel_class(2, 2, 4) == (2, 2)
         assert seidel_class(3, 2, 4) == (1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need k <= beta <= n-1, got beta=1, k=2, n=4"):
             seidel_class(1, 2, 4)
 
     def test_frame_identity_route(self):
@@ -423,7 +423,11 @@ class TestSeidelShift:
             seidel_element(4, i)
         with pytest.raises(ValueError) as by_frame:
             resolve_frame((), i, 2, 4)
-        assert str(by_element.value) == str(by_frame.value) == f"need 0 <= i <= n-1, got i={i}"
+        # a valid u, so the index is the first argument found wrong
+        with pytest.raises(ValueError) as by_check:
+            seidel_product_check((1, 3, 2, 4), i, 2, 4)
+        messages = {str(by_element.value), str(by_frame.value), str(by_check.value)}
+        assert messages == {f"need 0 <= i <= n-1, got i={i}"}
 
     def test_check_identity_case(self):
         chk = seidel_product_check((2, 4, 1, 3), 0, 2, 4)
