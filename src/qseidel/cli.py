@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from typing import Optional
@@ -24,7 +25,13 @@ FORMATS = ("text", "json", "csv")
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON and a newline, joined in batches: no list of every chunk is held."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    batches = []
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        batches.append(batch)
+    batches.append("\n")
+    return "".join(batches)
 
 
 def fmt_bool(b: bool) -> str:

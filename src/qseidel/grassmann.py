@@ -339,6 +339,12 @@ def dual_fp(pts: Iterable[int], n: int) -> frozenset[int]:
     # set still has its rank checked
     check_mask(min(masks, default=0), n)
     check_mask(max(masks, default=0), n)
+    return _dual_fp(masks, n)
+
+
+def _dual_fp(masks: Iterable[int], n: int) -> frozenset[int]:
+    """``dual_fp`` without its checks, for masks in {1..n} that the caller
+    has already checked or built."""
     low, high = _byte_tables(longest_element(n))
     full = (1 << n) - 1
     return frozenset(full ^ low[m & 0xFF] ^ high[m >> 8] for m in masks)

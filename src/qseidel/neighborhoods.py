@@ -50,9 +50,9 @@ from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 from .grassmann import (
     MAX_RANK,
     Partition,
+    _dual_fp,
     bit_values,
     check_box,
-    dual_fp,
     flag_fixed_points,
     fmt_partition,
     fmt_subsets,
@@ -308,7 +308,7 @@ def verify_case(n: int, k: int, i: int, u: Sequence[int]) -> dict:
             == size(target_frame)
         )
     if frame.dualized:
-        gamma = dual_fp(gamma, n)
+        gamma = _dual_fp(gamma, n)
 
     checks["fp_equality"] = gamma == target
     rec = {

@@ -260,6 +260,12 @@ def seidel_class(beta: int, k: int, n: int) -> Partition:
     """
     check_rank(k, n)
     _check_beta(beta, k, n)
+    return _rectangle(beta, k, n)
+
+
+def _rectangle(beta: int, k: int, n: int) -> Partition:
+    """``seidel_class`` without its checks, for a rank and a beta in
+    k..n-1 that the caller has already checked or built."""
     return ((n - beta),) * k
 
 
@@ -286,7 +292,7 @@ class Frame:
 
     def rectangle(self, n: int) -> Partition:
         """Codimension partition of the class that multiplies by the shift."""
-        return () if self.beta is None else seidel_class(self.beta, self.k, n)
+        return () if self.beta is None else _rectangle(self.beta, self.k, n)
 
 
 def resolve_frame(lam: Sequence[int], i: int, k: int, n: int) -> Frame:

@@ -7,7 +7,9 @@ bypassing capture, then asserts.
 
 import hashlib
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,6 +97,23 @@ def test_golden_csv_report(sweep8):
 def test_golden_json_report(sweep8):
     text = dumps_json(sweep8.record())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_JSON_N8
+
+
+def test_render_peak_below_one_shot_dumps(sweep8):
+    rec = sweep8.record()
+
+    def peak(render) -> int:
+        tracemalloc.start()
+        try:
+            render(rec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the one-shot encoder lists every chunk before it joins them
+    one_shot = peak(lambda obj: json.dumps(obj, indent=2, sort_keys=True))
+    batched = peak(dumps_json)
+    assert batched <= 0.75 * one_shot, (batched, one_shot)
 
 
 def test_golden_json_report_with_two_jobs():

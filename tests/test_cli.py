@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qseidel import neighborhoods, perms
 from qseidel.cli import dumps_json, main, render_terms_text
@@ -464,6 +466,62 @@ PINNED_OUTPUTS = [
 @pytest.mark.parametrize("argv,expected", PINNED_OUTPUTS)
 def test_pinned_output_bytes(capsys, argv, expected):
     assert run(argv, capsys) == (0, expected, "")
+
+
+def one_shot_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def chunk_count(obj) -> int:
+    return sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+)
+
+
+class TestDumpsJson:
+    """``dumps_json`` joins the encoder's chunks in batches of 8,192; its
+    bytes must be those of one ``json.dumps`` call."""
+
+    @given(JSON_VALUES)
+    def test_same_bytes_as_json_dumps(self, obj):
+        assert dumps_json(obj) == one_shot_json(obj)
+
+    # a list of m integers is m + 2 chunks: one per item, the closing
+    # newline and the bracket
+    @pytest.mark.parametrize(
+        "obj,chunks",
+        [
+            ({}, 1),
+            ([], 1),
+            (list(range(8189)), 8191),
+            (list(range(8190)), 8192),
+            (list(range(8191)), 8193),
+            (list(range(3 * 8192)), 3 * 8192 + 2),
+            ({f"key{j}": [j, None, True, "x" * (j % 7)] for j in range(6000)}, 54003),
+        ],
+        ids=["empty-dict", "empty-list", "one-short", "one-batch", "one-over", "three-batches",
+             "nested"],
+    )
+    def test_batch_boundaries(self, obj, chunks):
+        assert chunk_count(obj) == chunks
+        assert dumps_json(obj) == one_shot_json(obj)
+
+    def test_failing_sweep_record(self, monkeypatch):
+        real = neighborhoods.gamma_fp
+
+        # each neighborhood loses one fixed point, so failing records carry their detail
+        def broken(*args):
+            return frozenset(sorted(real(*args))[1:])
+
+        monkeypatch.setattr(neighborhoods, "gamma_fp", broken)
+        rec = neighborhoods.sweep(5).record()
+        assert rec["fail"] > 0
+        assert any("counterexample_detail" in case for case in rec["cases"])
+        assert dumps_json(rec) == one_shot_json(rec)
 
 
 class TestParser:
