@@ -5,13 +5,16 @@ stored as tuples of weakly decreasing positive parts (no trailing
 zeros).  Torus-fixed points are k-subsets of {1..n}; internally each
 subset is a machine-word bitmask with bit s-1 standing for the element
 s, which keeps the exhaustive sweeps cheap.  The rank cap MAX_RANK
-guards the mask representation.  Sweeps ask for the same opposite
-Schubert fixed-point sets many times over, so those sets and the
-k-subset tables behind them are cached once validated; cached values
-are immutable.  The B-stable sets are asked for only when the
-rectangle-side projection in ``neighborhoods`` misses its own cache.
-Translating a subset by a permutation reads two cached byte tables of
-that permutation instead of walking the subset.
+guards the mask representation.  Cached values are immutable.  The
+k-subset tables are per-(n, k) constants and stay cached for the run.
+The opposite Schubert fixed-point sets are cached once validated, per
+Grassmannian, for the two Grassmannians last asked for
+(``GrassmannianMemo``): an exhaustive (n, k) block reads only Gr(k, n)
+and Gr(n-k, n), so each of its sets is built once and the previous
+block's are dropped.  The B-stable sets are asked for only when the
+rectangle-side projection in ``neighborhoods`` misses its own memo of
+the same kind.  Translating a subset by a permutation reads two cached
+byte tables of that permutation instead of walking the subset.
 
 Each partition lam with at most k rows has one k-subset,
 ``partition_subset(lam, k)``, read in the Gale order (sorted elements
@@ -23,8 +26,8 @@ opposite variety of codimension partition lam the k-subsets above it.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache, update_wrapper
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perms import Perm, check_perm, longest_element, min_coset_rep, parse_ints
 
@@ -32,11 +35,6 @@ Partition = tuple[int, ...]
 
 # Masks use one bit per element of {1..n}; raise above this rank.
 MAX_RANK = 16
-
-# Cached opposite Schubert fixed-point sets.  In its (n, k) block an
-# exhaustive sweep needs at most one per box partition of Gr(k, n) and one
-# per box partition of the dual Gr(n-k, n), i.e. 420 at n = 10.
-FP_CACHE_SIZE = 1024
 
 
 def check_rank(k: int, n: int) -> None:
@@ -245,6 +243,37 @@ def k_subset_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(mask_of(c) for c in itertools.combinations(range(1, n + 1), k))
 
 
+class GrassmannianMemo:
+    """Memo of a function whose last two arguments are k and n, holding
+    the results for the two Grassmannians Gr(k, n) it was last called on.
+
+    ``scopes`` maps each held (k, n) to its results, the most recent
+    last.  A call on a third Grassmannian drops the least recent one.
+    Two, not one: an exhaustive (n, k) block asks for the opposite sets of
+    its frames in Gr(k, n) and of its twins' targets in Gr(n-k, n) in
+    turn, and one held Grassmannian would rebuild them at every switch.
+    """
+
+    def __init__(self, fn: Callable) -> None:
+        update_wrapper(self, fn)
+        self.fn = fn
+        self.scopes: dict[tuple[int, int], dict[tuple, object]] = {}
+
+    def __call__(self, *args):
+        scope = self.scopes.pop(args[-2:], None)
+        if scope is None:
+            scope = {}
+            if len(self.scopes) == 2:
+                del self.scopes[next(iter(self.scopes))]
+        self.scopes[args[-2:]] = scope
+        if args not in scope:
+            scope[args] = self.fn(*args)
+        return scope[args]
+
+    def cache_clear(self) -> None:
+        self.scopes.clear()
+
+
 def flag_fixed_points(flags: Sequence[int], k: int, n: int) -> frozenset[int]:
     """k-subsets S with |S n flags[i-1]| >= i for i = 1..k."""
     masks = k_subset_masks(n, k)
@@ -278,7 +307,7 @@ def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
     return _fp_schubert_bminus(lam, k, n)
 
 
-@lru_cache(maxsize=FP_CACHE_SIZE)
+@GrassmannianMemo
 def _fp_schubert_bminus(lam: Partition, k: int, n: int) -> frozenset[int]:
     suffixes = [interval_mask(s, n) for s in reversed(partition_subset(lam, k))]
     return flag_fixed_points(suffixes, k, n)

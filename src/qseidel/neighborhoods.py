@@ -17,13 +17,16 @@ identify the two varieties.
 Subsets of a mask are enumerated as sums of its single-bit values.  A
 projection is a ``Projection``: a variety's fixed points with the count
 of its pairs, which are never listed.  The projection of the rectangle
-side depends only on (beta, k, n, d); it is cached, and so is its
+side depends only on (beta, k, n, d).  It is memoized with its
 ``inner`` index, which maps each inner set A to the masks L of the near
-parts, built at most once per sweep block.  ``fp_richardson`` is the one
-place that intersects two projections: it splits each opposite-side
-fixed point M as A + U and keeps the near parts L at A that lie below
-min U.  ``gamma_fp`` unites the k-subsets between those pairs in one
-bitset indexed by mask value, 2^n bits, so no member is listed twice.
+parts, for the two Grassmannians last asked for, so an exhaustive
+(n, k) block builds each of its projections once and drops the previous
+block's.  ``fp_richardson`` is the one place that intersects two
+projections: it splits each opposite-side fixed point M as A + U, keeps
+the near parts L at A that lie below min U, and files each such A under
+its difference W = U + L, so pairs are never held as tuples.
+``gamma_fp`` turns each group into one bitset indexed by mask value,
+2^n bits, and unites the shifted bitsets, so no member is listed twice.
 
 A case with 0 < i < k is computed in the dual Grassmannian, in exactly
 the frame of one primal case of the (n, n-k) block, its twin.  An
@@ -49,6 +52,7 @@ from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 from .grassmann import (
     MAX_RANK,
+    GrassmannianMemo,
     Partition,
     _dual_fp,
     bit_values,
@@ -100,7 +104,8 @@ class Projection:
     On side "B", ``inner`` indexes the near members by their inner set:
     it maps A = C - L, for C in ``fps`` and every d-subset L of C, to the
     list of masks L.  ``fp_richardson`` joins it with the "Bminus" fixed
-    points.
+    points and returns the common pairs grouped by their difference
+    B - A.
     """
 
     def __init__(self, side: Side, fps: frozenset[int], d: int, k: int, n: int) -> None:
@@ -161,44 +166,65 @@ def fp_projected_schubert(side: Side, lam: Iterable[int], d: int, k: int, n: int
     raise ValueError(f"side must be 'B' or 'Bminus': {side!r}")
 
 
-# An exhaustive sweep needs one projection per degree of its (n, k, i) block;
-# the cached projection keeps its inner index for the block's later cases.
-@lru_cache(maxsize=16)
+# An exhaustive (n, k) block computes all its frames in Gr(k, n), and a
+# sorted sample reads a block's primal frames in Gr(k, n) and its dual
+# cases' frames in Gr(n-k, n) in turn, so holding the two Grassmannians
+# last asked for builds each projection and its inner index once per block.
+@GrassmannianMemo
 def _projected_b(lam: Partition, d: int, k: int, n: int) -> Projection:
     return Projection("B", fp_schubert_b(lam, k, n), d, k, n)
 
 
 def fp_richardson(
     lam_b: Iterable[int], lam_bm: Iterable[int], d: int, k: int, n: int
-) -> frozenset[tuple[int, int]]:
-    """Common fixed pairs of the two projected varieties.
+) -> dict[int, list[int]]:
+    """Common fixed pairs (A, B) of the two projected varieties, grouped
+    by their difference: a mapping W = B - A -> the inner sets A.
 
-    At d = 0 both projections are diagonals.  Otherwise (A, B) lies in
-    both exactly when A + L is a "B" fixed point and A + U a "Bminus"
-    one, for the d least elements L and the d greatest U of B - A.  So
-    each "Bminus" fixed point M is split as A + U over the d-subsets U
-    of M, and every near part L that the "B" side's ``inner`` index holds
-    at A with max L < min U gives the pair (A, M + L).  As masks that test
-    is L < U & -U, the lowest bit of U; it also keeps L and U disjoint.
+    At d = 0 both projections are diagonals, so the pairs form the one
+    group W = 0, and ``{}`` when the two sides share no fixed point.
+    Otherwise (A, B) lies in both exactly when A + L is a "B" fixed point
+    and A + U a "Bminus" one, for the d least elements L and the d
+    greatest U of B - A.  So each "Bminus" fixed point M is split as
+    A + U over the d-subsets U of M, and every near part L that the "B"
+    side's ``inner`` index holds at A with max L < min U files A under
+    W = U + L.  As masks that test is L < U & -U, the lowest bit of U; it
+    also keeps L and U disjoint.  A difference splits into its L and U one
+    way only, so no pair is filed twice.
     """
     p = fp_projected_schubert("B", lam_b, d, k, n)
     q = fp_projected_schubert("Bminus", lam_bm, d, k, n)
     if d == 0:
-        return frozenset((c, c) for c in p.fps & q.fps)
+        common = p.fps & q.fps
+        return {0: list(common)} if common else {}
     inner = p.inner
-    out: list[tuple[int, int]] = []
+    groups: dict[int, list[int]] = {}
     for m in q.fps:
         for far in map(sum, itertools.combinations(bit_values(m), d)):
             a = m - far
             nears = inner.get(a)
             if nears:
                 low = far & -far
-                out.extend((a, m | near) for near in nears if near < low)
-    return frozenset(out)
+                for near in nears:
+                    if near < low:
+                        groups.setdefault(far | near, []).append(a)
+    return groups
 
 
 # turns the binary digits "0" and "1" into the bytes 0 and 1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bitset(positions: Iterable[int], n: int) -> int:
+    """The integer with bit a set for each a in ``positions``, all below 2^n.
+
+    Bits are set in a buffer of 2^n bits and read as one integer, so each
+    position costs one byte write instead of an OR over the whole integer.
+    """
+    buf = bytearray(max(1 << n >> 3, 1))
+    for a in positions:
+        buf[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(buf, "little")
 
 
 def gamma_fp(
@@ -210,24 +236,21 @@ def gamma_fp(
     opposite variety by codimension.
 
     The members are the sets A + X for the pairs (A, B) of
-    ``fp_richardson`` and the d-subsets X of B - A.  Pairs are grouped by
-    their difference W = B - A, and each group's inner sets A are held as
-    one bitset with bit A set (2^n bits, 8 KB at the rank cap).  Shifting
-    that bitset left by X adds X to every A at once, since A and X are
-    disjoint, so the union is one OR per d-subset of each distinct W, and
-    its set bits are read off once.
+    ``fp_richardson`` and the d-subsets X of B - A.  Each group of pairs
+    with one difference W = B - A has its inner sets A held as one bitset
+    with bit A set (2^n bits, 8 KB at the rank cap), built once per
+    group.  Shifting that bitset left by X adds X to every A at once,
+    since A and X are disjoint, so the union is one OR per d-subset of
+    each W, and its set bits are read off once.
 
     >>> fmt_subsets(gamma_fp((), (1,), 1, 2, 4))
     ['1,2', '1,3', '1,4', '2,3', '2,4']
     """
-    groups: dict[int, int] = {}
-    for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
-        diff = b ^ a
-        groups[diff] = groups.get(diff, 0) | 1 << a
     bits = 0
-    for diff, inner in groups.items():
+    for diff, inner in fp_richardson(lam_b, lam_bm, d, k, n).items():
+        group = _bitset(inner, n)
         for x in map(sum, itertools.combinations(bit_values(diff), d)):
-            bits |= inner << x
+            bits |= group << x
     # the binary digits after "0b", reversed so that byte m is 1 when bit m is set
     digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
     return frozenset(itertools.compress(itertools.count(), digits))
@@ -375,8 +398,8 @@ class SweepCases(abc.Sequence):
     minimal representative u.  Only block offsets are held: an index
     builds the parabolic quotient of its own block, so sampling a few
     cases never lists the other blocks.  Iteration goes through
-    indexing, and the small cache of quotients serves its sequential
-    reads, one quotient per block.
+    indexing, and the one quotient held serves its sequential reads, one
+    quotient per block.
 
     ``twin_order`` lists the same cases in the order an exhaustive sweep
     verifies them, each dual case right after the primal case that shares
@@ -441,7 +464,9 @@ def _lex_rank(subset: Sequence[int], n: int) -> int:
     return comb(n, m) - 1 - sum(comb(n - s, m - t) for t, s in enumerate(subset))
 
 
-@lru_cache(maxsize=4)
+# Sequential indexing, ``twin_order`` and a sorted sample each read one
+# block at a time.
+@lru_cache(maxsize=1)
 def _block_reps(n: int, k: int) -> tuple[Perm, ...]:
     return tuple(parabolic_quotient(n, frozenset(range(1, n)) - {k}))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .grassmann import (
     Partition,
@@ -160,13 +160,25 @@ def classical_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> 
     """
     lam = check_box(lam, k, n)
     mu = check_box(mu, k, n)
-    total = size(lam) + size(mu)
-    terms: Terms = {}
-    for nu in partitions_bounded(total, (n - k,) * k):
+    # the box cuts the ceiling to the terms kept
+    ceiling = tuple(min(c, n - k) for c in weyl_ceiling(lam, mu, k))
+    return {(nu, 0): c for nu, c in sorted(_lr_terms(lam, mu, ceiling))}
+
+
+def _lr_terms(
+    lam: Partition, mu: Partition, ceiling: Sequence[int]
+) -> Iterator[tuple[Partition, int]]:
+    """The shapes nu under ``ceiling`` with c^nu_{lam,mu} != 0, each with
+    its coefficient.
+
+    c^nu_{lam,mu} vanishes unless nu contains lam and mu, so only the
+    shapes above lam | mu are tried.
+    """
+    floor = tuple(map(max, itertools.zip_longest(lam, mu, fillvalue=0)))
+    for nu in partitions_bounded(size(lam) + size(mu), ceiling, floor):
         c = lr_coeff(lam, mu, nu)
         if c:
-            terms[(nu, 0)] = c
-    return dict(sorted(terms.items()))
+            yield nu, c
 
 
 class DegreeMismatchError(ArithmeticError):
@@ -208,13 +220,8 @@ def _quantum_terms(
     lam: Partition, mu: Partition, k: int, n: int
 ) -> tuple[tuple[tuple[Partition, int], int], ...]:
     total = size(lam) + size(mu)
-    # c^nu_{lam,mu} vanishes unless nu contains lam and mu and lies under their ceiling
-    floor = tuple(map(max, itertools.zip_longest(lam, mu, fillvalue=0)))
     terms: Terms = {}
-    for nu in partitions_bounded(total, weyl_ceiling(lam, mu, k), floor):
-        c = lr_coeff(lam, mu, nu)
-        if c == 0:
-            continue
+    for nu, c in _lr_terms(lam, mu, weyl_ceiling(lam, mu, k)):
         red = rim_hook_reduce(nu, k, n)
         if red is None:
             continue

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -8,9 +9,12 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers_oracles import oracle_gamma, oracle_projection
 from qseidel import grassmann, neighborhoods, quantum
@@ -43,8 +47,18 @@ from qseidel.perms import parabolic_quotient, parse_perm
 from qseidel.quantum import resolve_frame, seidel_class, seidel_degree, seidel_product_check
 
 
-def pairs_of(pair_set):
-    return sorted((subset_of(a), subset_of(b)) for a, b in pair_set)
+def flat_pairs(groups):
+    """The pairs (A, B) of ``fp_richardson``'s groups, B = A + W for the
+    group's difference W, each checked to be filed once."""
+    pairs = [(a, a | w) for w, inner in groups.items() for a in inner]
+    assert all(inner for inner in groups.values())
+    assert all(a & w == 0 for w, inner in groups.items() for a in inner)
+    assert len(set(pairs)) == len(pairs)
+    return frozenset(pairs)
+
+
+def pairs_of(groups):
+    return sorted((subset_of(a), subset_of(b)) for a, b in flat_pairs(groups))
 
 
 class TestProjectedFixedPoints:
@@ -56,7 +70,8 @@ class TestProjectedFixedPoints:
                 fp_schubert_b(lam, 2, 4) if side == "B" else fp_schubert_bminus(lam, 2, 4)
             )
             assert len(fp_projected_schubert(side, lam, 0, 2, 4)) == len(fps)
-            assert fp_richardson(lam_b, lam_bm, 0, 2, 4) == frozenset((c, c) for c in fps)
+            got = flat_pairs(fp_richardson(lam_b, lam_bm, 0, 2, 4))
+            assert got == frozenset((c, c) for c in fps)
 
     def test_point_class_example(self):
         assert len(fp_projected_schubert("B", (), 1, 2, 4)) == 4
@@ -71,7 +86,7 @@ class TestProjectedFixedPoints:
 
     def test_codim_one_example_saturates(self):
         assert len(fp_projected_schubert("Bminus", (1,), 1, 2, 4)) == 12
-        got = fp_richardson((2, 2), (1,), 1, 2, 4)
+        got = flat_pairs(fp_richardson((2, 2), (1,), 1, 2, 4))
         assert len(got) == 12
         for a, b in got:
             assert a & ~b == 0
@@ -95,11 +110,11 @@ class TestRichardson:
         ]
 
     def test_disjoint_pair_is_empty(self):
-        assert fp_richardson((), (2, 2), 0, 2, 4) == frozenset()
+        assert fp_richardson((), (2, 2), 0, 2, 4) == {}
 
     def test_degree_zero_is_richardson_diagonal(self):
         common = fp_schubert_b((2, 1), 2, 4) & fp_schubert_bminus((1,), 2, 4)
-        assert fp_richardson((2, 1), (1,), 0, 2, 4) == frozenset(
+        assert flat_pairs(fp_richardson((2, 1), (1,), 0, 2, 4)) == frozenset(
             (c, c) for c in common
         )
 
@@ -141,7 +156,7 @@ class TestProjectionOracle:
                         both = expected_projection("B", lb, d, k, n) & expected_projection(
                             "Bminus", lbm, d, k, n
                         )
-                        assert fp_richardson(lb, lbm, d, k, n) == both
+                        assert flat_pairs(fp_richardson(lb, lbm, d, k, n)) == both
 
     def test_join_matches_oracle_beyond_n6(self):
         rng = random.Random(15)
@@ -154,7 +169,20 @@ class TestProjectionOracle:
                 both = oracle_projection(fp_schubert_b(lb, k, n), d, k, n) & oracle_projection(
                     fp_schubert_bminus(lbm, k, n), d, k, n
                 )
-                assert fp_richardson(lb, lbm, d, k, n) == both, (lb, lbm, d, k, n)
+                assert flat_pairs(fp_richardson(lb, lbm, d, k, n)) == both, (lb, lbm, d, k, n)
+
+
+    @given(st.data())
+    def test_groups_match_oracle_on_random_frames(self, data):
+        n = data.draw(st.integers(2, 9), label="n")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        parts = st.sampled_from(box_partitions(k, n))
+        lb, lbm = data.draw(parts, label="lam_b"), data.draw(parts, label="lam_bm")
+        d = data.draw(st.integers(0, min(k, n - k)), label="d")
+        both = oracle_projection(fp_schubert_b(lb, k, n), d, k, n) & oracle_projection(
+            fp_schubert_bminus(lbm, k, n), d, k, n
+        )
+        assert flat_pairs(fp_richardson(lb, lbm, d, k, n)) == both
 
 
 class TestGamma:
@@ -251,7 +279,7 @@ def listed_boxes(lam_b, lam_bm, d, k, n):
     """The neighborhood as the union, over the pairs (A, B) of
     ``fp_richardson``, of the k-subsets between A and B, each listed."""
     out = set()
-    for a, b in fp_richardson(lam_b, lam_bm, d, k, n):
+    for a, b in flat_pairs(fp_richardson(lam_b, lam_bm, d, k, n)):
         out.update(a | mask_of(x) for x in itertools.combinations(subset_of(b ^ a), d))
     return frozenset(out)
 
@@ -299,7 +327,7 @@ class TestGammaBitset:
 
     def test_empty_neighborhood(self):
         # the B-stable point {1..8} lies below no other fixed point
-        assert fp_richardson((), (8,) * 8, 0, 8, 16) == frozenset()
+        assert fp_richardson((), (8,) * 8, 0, 8, 16) == {}
         assert gamma_fp((), (8,) * 8, 0, 8, 16) == frozenset()
         assert gamma_fp((), (1,), 0, 1, 9) == frozenset()
 
@@ -308,10 +336,28 @@ class TestGammaBitset:
         lam_b = box_complement(seidel_class(13, 7, 16), 7, 16)
         lam = (9, 9, 9, 1, 1)
         assert seidel_degree(lam, 13, 7, 16) == 3
-        assert len(fp_richardson(lam_b, lam, 3, 7, 16)) == 59220
+        groups = fp_richardson(lam_b, lam, 3, 7, 16)
+        assert len(groups) == 286
+        assert sum(map(len, groups.values())) == len(flat_pairs(groups)) == 59220
         got = gamma_fp(lam_b, lam, 3, 7, 16)
         assert len(got) == 11430
         assert got == listed_boxes(lam_b, lam, 3, 7, 16)
+
+
+    def test_rank_cap_frame_holds_no_pair_list(self):
+        # the frame above, with its two projections built: the join and the
+        # union hold each group's inner sets, never every pair at once
+        lam_b = box_complement(seidel_class(13, 7, 16), 7, 16)
+        lam = (9, 9, 9, 1, 1)
+        fp_projected_schubert("B", lam_b, 3, 7, 16).inner
+        fp_projected_schubert("Bminus", lam, 3, 7, 16)
+        tracemalloc.start()
+        try:
+            gamma_fp(lam_b, lam, 3, 7, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestGFlagChain:
@@ -739,3 +785,42 @@ class TestTwinOrder:
         expect = cold_record(second)
         cold_record(first)  # leaves the first frame in the memos
         assert verify_case(*second) == expect
+
+
+# the memos that hold the results of the two Grassmannians last asked for
+SCOPED = {"Bminus": grassmann._fp_schubert_bminus, "B": neighborhoods._projected_b}
+
+
+class TestCacheScopes:
+    def test_rank_16_sample_keeps_two_grassmannians_and_one_quotient(self):
+        assert sweep(16, mode="sampled", sample_size=100, seed=3).all_passed
+        for memo in SCOPED.values():
+            assert 1 <= len(memo.scopes) <= 2
+        assert neighborhoods._block_reps.cache_info().currsize == 1
+
+    def test_a_block_builds_each_set_and_projection_once(self, monkeypatch):
+        block = None
+        built = collections.Counter()
+
+        def counting(side, build):
+            def counted(*args):
+                built[block, side, args] += 1
+                return build(*args)
+
+            return counted
+
+        for side, memo in SCOPED.items():
+            memo.cache_clear()
+            monkeypatch.setattr(memo, "fn", counting(side, memo.fn))
+        verify = neighborhoods.verify_case
+
+        def in_block(n, k, i, u):
+            nonlocal block
+            # a dual case is verified in the block of its primal twin
+            block = (n, n - k) if 0 < i < k else (n, k)
+            return verify(n, k, i, u)
+
+        monkeypatch.setattr(neighborhoods, "verify_case", in_block)
+        assert sweep(7).all_passed
+        assert {side for _, side, _ in built} == set(SCOPED)
+        assert max(built.values()) == 1

@@ -299,6 +299,20 @@ class TestProducts:
                 got = {key: c for key, c in quant.items() if key[1] == 0}
                 assert got == classical
 
+    @pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 8) for k in range(1, n)])
+    def test_classical_window_matches_box_enumeration(self, k, n):
+        # the product lists only shapes between lam | mu and the Weyl
+        # ceiling; scanning every shape of the box must find no other term
+        for lam in box_partitions(k, n):
+            for mu in box_partitions(k, n):
+                total = size(lam) + size(mu)
+                scanned = {
+                    (nu, 0): c
+                    for nu in partitions_bounded(total, (n - k,) * k)
+                    if (c := lr_coeff(lam, mu, nu))
+                }
+                assert classical_product(lam, mu, k, n) == scanned, (lam, mu)
+
     @pytest.mark.parametrize("k,n", RANKS)
     def test_grading_box_and_positivity(self, k, n):
         for lam in box_partitions(k, n):
