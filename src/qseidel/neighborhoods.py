@@ -17,11 +17,9 @@ identify the two varieties.
 Subsets of a mask are enumerated as sums of its single-bit values.  A
 projection is a ``Projection``: a variety's fixed points with the count
 of its pairs, which are never listed.  The projection of the rectangle
-side depends only on (beta, k, n, d).  It is memoized with its
-``inner`` index, which maps each inner set A to the masks L of the near
-parts, for the two Grassmannians last asked for, so an exhaustive
-(n, k) block builds each of its projections once and drops the previous
-block's.  ``fp_richardson`` is the one place that intersects two
+side depends only on (beta, k, n, d).  It is memoized per Grassmannian
+with its ``inner`` index, which maps each inner set A to the masks L of
+the near parts.  ``fp_richardson`` is the one place that intersects two
 projections: it splits each opposite-side fixed point M as A + U, keeps
 the near parts L at A that lie below min U, and files each such A under
 its difference W = U + L, so pairs are never held as tuples.
@@ -31,9 +29,8 @@ its difference W = U + L, so pairs are never held as tuples.
 A case with 0 < i < k is computed in the dual Grassmannian, in exactly
 the frame of one primal case of the (n, n-k) block, its twin.  An
 exhaustive sweep verifies each such case right after its twin
-(``SweepCases.twin_order``), so one-entry memos of the frame-level work
-here (``_frame_checks``) and of the product in ``quantum`` compute each
-frame once without holding more than one frame at a time.
+(``SweepCases.twin_order``).  The scopes of the memos here are stated in
+``grassmann``.
 """
 
 from __future__ import annotations
@@ -166,10 +163,6 @@ def fp_projected_schubert(side: Side, lam: Iterable[int], d: int, k: int, n: int
     raise ValueError(f"side must be 'B' or 'Bminus': {side!r}")
 
 
-# An exhaustive (n, k) block computes all its frames in Gr(k, n), and a
-# sorted sample reads a block's primal frames in Gr(k, n) and its dual
-# cases' frames in Gr(n-k, n) in turn, so holding the two Grassmannians
-# last asked for builds each projection and its inner index once per block.
 @GrassmannianMemo
 def _projected_b(lam: Partition, d: int, k: int, n: int) -> Projection:
     return Projection("B", fp_schubert_b(lam, k, n), d, k, n)
@@ -397,9 +390,8 @@ class SweepCases(abc.Sequence):
     The cases run in (n, k) blocks of n * comb(n, k), one per i and
     minimal representative u.  Only block offsets are held: an index
     builds the parabolic quotient of its own block, so sampling a few
-    cases never lists the other blocks.  Iteration goes through
-    indexing, and the one quotient held serves its sequential reads, one
-    quotient per block.
+    cases never lists the other blocks.  Iteration, like ``twin_order``,
+    builds each block's quotient once.
 
     ``twin_order`` lists the same cases in the order an exhaustive sweep
     verifies them, each dual case right after the primal case that shares
@@ -426,6 +418,13 @@ class SweepCases(abc.Sequence):
         n, k = self.blocks[b]
         i, r = divmod(j - self.starts[b], comb(n, k))
         return (n, k, i, _block_reps(n, k)[r])
+
+    def __iter__(self) -> Iterator[Case]:
+        for n, k in self.blocks:
+            reps = _block_reps(n, k)
+            for i in range(n):
+                for u in reps:
+                    yield (n, k, i, u)
 
     def twin_order(self) -> Iterator[tuple[int, Case]]:
         """Every case once with its index, block by block.
@@ -464,11 +463,8 @@ def _lex_rank(subset: Sequence[int], n: int) -> int:
     return comb(n, m) - 1 - sum(comb(n - s, m - t) for t, s in enumerate(subset))
 
 
-# Sequential indexing, ``twin_order`` and a sorted sample each read one
-# block at a time.
-@lru_cache(maxsize=1)
-def _block_reps(n: int, k: int) -> tuple[Perm, ...]:
-    return tuple(parabolic_quotient(n, frozenset(range(1, n)) - {k}))
+def _block_reps(n: int, k: int) -> list[Perm]:
+    return parabolic_quotient(n, frozenset(range(1, n)) - {k})
 
 
 def sweep_cases(n_max: int) -> SweepCases:

@@ -213,8 +213,7 @@ def quantum_product(lam: Sequence[int], mu: Sequence[int], k: int, n: int) -> Te
     return dict(_quantum_terms(check_box(lam, k, n), check_box(mu, k, n), k, n))
 
 
-# An exhaustive sweep verifies each dual case right after the primal case of
-# the same frame, so the one product they share is still held here.
+# the product of one frame, shared by the two cases of that frame
 @lru_cache(maxsize=1)
 def _quantum_terms(
     lam: Partition, mu: Partition, k: int, n: int
