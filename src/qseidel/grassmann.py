@@ -14,6 +14,9 @@ Each partition lam with at most k rows has one k-subset,
 compared entrywise): the fixed points of the lower (B-stable) variety of
 dimension partition lam are the k-subsets below it, and those of the
 opposite variety of codimension partition lam the k-subsets above it.
+Each of these Gale intervals is walked by lexicographic rank and read
+out of the table ``k_subset_masks``; the filter ``flag_fixed_points``
+serves only the flag chains of ``neighborhoods``.
 
 Cached values are immutable.  Every memo of the package has one of three
 scopes:
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, update_wrapper
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .perms import Perm, check_perm, longest_element, min_coset_rep, parse_ints
@@ -281,11 +285,61 @@ def k_subset_masks(n: int, k: int) -> tuple[int, ...]:
     """Masks of all k-subsets of {1..n}, ordered like sorted tuples."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return tuple(mask_of(c) for c in itertools.combinations(range(1, n + 1), k))
+    return tuple(map(sum, itertools.combinations(bit_values((1 << n) - 1), k)))
+
+
+def _lex_rank(subset: Sequence[int], n: int) -> int:
+    """Position of an ascending subset of {1..n} among the subsets of its
+    size in lexicographic order, its index in ``k_subset_masks``.
+
+    The subsets after it are counted from the end: those that first
+    exceed it at its t-th element s (t from 0) number comb(n - s, m - t).
+    """
+    m = len(subset)
+    return comb(n, m) - 1 - sum(comb(n - s, m - t) for t, s in enumerate(subset))
+
+
+def _gale_interval(lo: Sequence[int], hi: Sequence[int], n: int) -> frozenset[int]:
+    """The k-subsets t of {1..n} with lo[j] <= t[j] <= hi[j] for every j,
+    for ascending k-subsets lo <= hi entrywise, read out of
+    ``k_subset_masks(n, k)`` by rank.
+
+    The walk places one element at a time and carries each prefix's part
+    of ``_lex_rank``, which is a sum over the elements.  Every prefix
+    extends, since lo and hi ascend.  The last element runs over an
+    interval with consecutive ranks, so each prefix reads one slice of
+    the table.
+    """
+    k = len(lo)
+    table = k_subset_masks(n, k)
+    # ends[p]: the rank so far of each prefix whose last element is p
+    ends = [[len(table) - 1]] + [[] for _ in range(n)]
+    for j in range(k - 1):
+        step: list[list[int]] = [[] for _ in range(n + 1)]
+        # the prefixes that the least element t = lo[j] extends
+        below = list(itertools.chain.from_iterable(ends[: lo[j]]))
+        for t in range(lo[j], hi[j] + 1):
+            share = comb(n - t, k - j)
+            step[t] = [r - share for r in below]
+            below += ends[t]
+        ends = step
+    # the last element t, from max(lo[-1], p + 1) to hi[-1], takes n - t off
+    stop = hi[-1] + 1 - n
+    return frozenset(
+        itertools.chain.from_iterable(
+            table[r + max(lo[-1], p + 1) - n : r + stop]
+            for p, ranks in enumerate(ends)
+            for r in ranks
+        )
+    )
 
 
 def flag_fixed_points(flags: Sequence[int], k: int, n: int) -> frozenset[int]:
-    """k-subsets S with |S n flags[i-1]| >= i for i = 1..k."""
+    """k-subsets S with |S n flags[i-1]| >= i for i = 1..k.
+
+    The flag chains of ``neighborhoods`` read this filter; Schubert
+    varieties walk their Gale interval instead.
+    """
     masks = k_subset_masks(n, k)
     for i, f in enumerate(flags, start=1):
         # a k-subset meets a flag of size >= n-k+i in at least i elements
@@ -302,8 +356,7 @@ def fp_schubert_b(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
     [(1, 2), (1, 3)]
     """
     lam = check_box(lam, k, n)
-    prefixes = [interval_mask(1, s) for s in partition_subset(lam, k)]
-    return flag_fixed_points(prefixes, k, n)
+    return _gale_interval(range(1, k + 1), partition_subset(lam, k), n)
 
 
 def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
@@ -319,8 +372,7 @@ def fp_schubert_bminus(lam: Iterable[int], k: int, n: int) -> frozenset[int]:
 
 @GrassmannianMemo
 def _fp_schubert_bminus(lam: Partition, k: int, n: int) -> frozenset[int]:
-    suffixes = [interval_mask(s, n) for s in reversed(partition_subset(lam, k))]
-    return flag_fixed_points(suffixes, k, n)
+    return _gale_interval(partition_subset(lam, k), range(n - k + 1, n + 1), n)
 
 
 def translate_mask(g: Sequence[int], mask: int) -> int:
@@ -335,9 +387,14 @@ def _byte_tables(g: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = len(g)
     if n > MAX_RANK:
         raise ValueError(f"rank cap exceeded: n={n} > {MAX_RANK}")
-    low = tuple(translate_mask(g, m) for m in range(1 << min(n, 8)))
-    high = tuple(translate_mask(g, m << 8) for m in range(1 << max(n - 8, 0)))
-    return low, high
+    low: list[int] = [0]
+    high: list[int] = [0]
+    for s, image in enumerate(g, start=1):
+        # the subsets that hold s are those without it, plus its image
+        half = low if s <= 8 else high
+        bit = 1 << (image - 1)
+        half += [m | bit for m in half]
+    return tuple(low), tuple(high)
 
 
 def translate_fp(g: Sequence[int], pts: Iterable[int]) -> frozenset[int]:

@@ -35,7 +35,6 @@ exhaustive sweep verifies each such case right after its twin
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import random
@@ -52,6 +51,7 @@ from .grassmann import (
     GrassmannianMemo,
     Partition,
     _dual_fp,
+    _lex_rank,
     bit_values,
     check_box,
     flag_fixed_points,
@@ -452,17 +452,6 @@ class SweepCases(abc.Sequence):
         return j, (n, n - k, n - i, twin)
 
 
-def _lex_rank(subset: Sequence[int], n: int) -> int:
-    """Position of an ascending subset of {1..n} among the subsets of its
-    size in lexicographic order.
-
-    The subsets after it are counted from the end: those that first
-    exceed it at its t-th element s (t from 0) number comb(n - s, m - t).
-    """
-    m = len(subset)
-    return comb(n, m) - 1 - sum(comb(n - s, m - t) for t, s in enumerate(subset))
-
-
 def _block_reps(n: int, k: int) -> list[Perm]:
     return parabolic_quotient(n, frozenset(range(1, n)) - {k})
 
@@ -521,6 +510,11 @@ class SweepReport:
         }
 
 
+def _grassmannians(case: Case) -> tuple[int, int]:
+    n, k = case[0], case[1]
+    return n, min(k, n - k)
+
+
 class _Order:
     """The cases of a sweep in the order it verifies them, each with its
     canonical index.  ``pairs`` starts a fresh pass.  Iterating gives the
@@ -549,11 +543,12 @@ def sweep(
 ) -> SweepReport:
     """Verify every case up to n_max, or a seeded sample of them.
 
-    An exhaustive sweep verifies the cases in ``twin_order``, a sampled
-    one in sorted order.  ``jobs`` > 1 fans them over a process pool of at
-    most one worker per usable CPU in the same order.  Each record is
-    filed at its case's canonical index either way, so emitted reports
-    are byte-stable.
+    An exhaustive sweep verifies the cases in ``twin_order``.  A sampled
+    one sorts its cases and verifies them grouped by n and min(k, n - k),
+    in sorted order within a group.  ``jobs`` > 1 fans them over a process
+    pool of at most one worker per usable CPU in the same order.  Each
+    record is filed at its case's canonical index, or its position in the
+    sorted sample, either way, so emitted reports are byte-stable.
     """
     if jobs is not None:
         if jobs < 1:
@@ -568,7 +563,10 @@ def sweep(
             seed = DEFAULT_SEED
         cases = sweep_cases(n_max)
         cases = sorted(random.Random(seed).sample(cases, min(sample_size, len(cases))))
-        order = _Order(len(cases), functools.partial(enumerate, cases))
+        # a case reads Gr(k, n) and Gr(n - k, n), the two Grassmannians a
+        # GrassmannianMemo holds, so cases that share them run together
+        slots = sorted(range(len(cases)), key=lambda j: _grassmannians(cases[j]))
+        order = _Order(len(cases), lambda: ((j, cases[j]) for j in slots))
     elif mode == "exhaustive":
         if sample_size is not None or seed is not None:
             raise ValueError("sample_size and seed apply only to sampled mode")

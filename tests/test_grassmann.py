@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qseidel import grassmann
 from qseidel.grassmann import (
     bit_values,
     box_complement,
@@ -16,6 +17,7 @@ from qseidel.grassmann import (
     dual_fp,
     dual_mask,
     fmt_partition,
+    flag_fixed_points,
     fp_schubert_b,
     fp_schubert_bminus,
     interval_mask,
@@ -246,6 +248,58 @@ class TestFixedPoints:
                     assert fp_schubert_bminus(mu, k, n) <= fp_schubert_bminus(lam, k, n)
 
 
+def filtered_sides(lam, k, n):
+    """Both Schubert fixed-point sets by their flag definition: the
+    k-subsets meeting the prefixes {1..s} of the lower variety's subset,
+    and the suffixes {s..n} of the opposite one's, as
+    ``flag_fixed_points`` filters them."""
+    s = partition_subset(lam, k)
+    prefixes = [interval_mask(1, e) for e in s]
+    suffixes = [interval_mask(e, n) for e in reversed(s)]
+    return flag_fixed_points(prefixes, k, n), flag_fixed_points(suffixes, k, n)
+
+
+class TestGaleWalk:
+    """Schubert fixed points are walked as Gale intervals by rank; these
+    compare the walk with the flag filter that defined them."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_the_flag_filter_small(self, n):
+        for k in range(1, n):
+            for lam in box_partitions(k, n):
+                assert (fp_schubert_b(lam, k, n), fp_schubert_bminus(lam, k, n)) == (
+                    filtered_sides(lam, k, n)
+                ), (lam, k, n)
+
+    def test_matches_the_flag_filter_at_the_rank_cap(self):
+        rng = random.Random(16)
+        drawn = []
+        for _ in range(200):
+            k = rng.randrange(1, 16)
+            drawn.append((rng.choice(box_partitions(k, 16)), k))
+        ends = [(lam, k) for k in (1, 5, 8, 15) for lam in ((), (16 - k,) * k)]
+        for lam, k in sorted(drawn + ends, key=lambda case: case[1]):
+            assert (fp_schubert_b(lam, k, 16), fp_schubert_bminus(lam, k, 16)) == (
+                filtered_sides(lam, k, 16)
+            ), (lam, k)
+
+    def test_the_empty_partition_and_the_full_box(self):
+        for k, n in [(1, 2), (3, 7), (8, 16)]:
+            full = (n - k,) * k
+            assert fp_schubert_b((), k, n) == {mask_of(range(1, k + 1))}
+            assert fp_schubert_bminus(full, k, n) == {mask_of(range(n - k + 1, n + 1))}
+            assert fp_schubert_b(full, k, n) == fp_schubert_bminus((), k, n) == set(
+                k_subset_masks(n, k)
+            )
+
+    def test_lex_rank_is_the_table_index(self):
+        for n in range(1, 11):
+            for k in range(n + 1):
+                table = k_subset_masks(n, k)
+                for subset in itertools.combinations(range(1, n + 1), k):
+                    assert grassmann._lex_rank(subset, n) == table.index(mask_of(subset))
+
+
 class TestTranslate:
     def test_example(self):
         pts = translate_fp((2, 1), [mask_of({1})])
@@ -282,6 +336,14 @@ class TestTranslate:
                     image = mask_of(g[s - 1] for s in subset_of(m))
                     assert translate_fp(g, [m]) == {image}
                 assert translate_fp(g, masks) == {translate_mask(g, m) for m in masks}
+
+    def test_byte_tables_are_the_elementwise_images(self):
+        rng = random.Random(8)
+        for n in range(1, 17):
+            g = tuple(rng.sample(range(1, n + 1), n))
+            low = tuple(translate_mask(g, m) for m in range(1 << min(n, 8)))
+            high = tuple(translate_mask(g, m << 8) for m in range(1 << max(n - 8, 0)))
+            assert grassmann._byte_tables(g) == (low, high)
 
     def test_rank_cap(self):
         with pytest.raises(ValueError, match="rank cap"):

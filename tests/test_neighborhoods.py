@@ -664,6 +664,12 @@ class TestSweep:
         parallel = sweep(3, jobs=2).record()
         assert serial == parallel
 
+    def test_worker_count_invisible_in_a_sample(self):
+        # a sample runs grouped by Grassmannian, not in the order it is filed
+        serial = sweep(12, mode="sampled", sample_size=40, seed=2)
+        pooled = sweep(12, mode="sampled", sample_size=40, seed=2, jobs=2)
+        assert pooled.record() == serial.record()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_worker_count_below_one(self, pool_sizes, jobs):
         with pytest.raises(ValueError):
@@ -793,11 +799,40 @@ SCOPED = {
 }
 
 
-class TestCacheScopes:
-    def test_rank_16_sample_keeps_two_grassmannians(self):
-        assert sweep(16, mode="sampled", sample_size=100, seed=3).all_passed
+@pytest.fixture(scope="module")
+def rank_16_sample():
+    """The 100-case seed-3 rank-16 sample swept on cold memos: its report,
+    the k-subset tables it built, counted by (n, k), and how many
+    Grassmannians each scoped memo holds afterwards."""
+    built = collections.Counter()
+    masks = grassmann.k_subset_masks
+    build = masks.fn
+
+    def counted(n, k):
+        built[n, k] += 1
+        return build(n, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks, "fn", counted)
         for memo in SCOPED.values():
-            assert 1 <= len(memo.scopes) <= 2
+            memo.cache_clear()
+        report = sweep(16, mode="sampled", sample_size=100, seed=3)
+        held = {side: len(memo.scopes) for side, memo in SCOPED.items()}
+    return report, built, held
+
+
+class TestCacheScopes:
+    def test_rank_16_sample_keeps_two_grassmannians(self, rank_16_sample):
+        report, _, held = rank_16_sample
+        assert report.all_passed
+        for count in held.values():
+            assert 1 <= count <= 2
+
+    def test_rank_16_sample_builds_each_table_once(self, rank_16_sample):
+        # the cases that read Gr(k, 16) and Gr(16 - k, 16) run together
+        _, built, _ = rank_16_sample
+        assert len(built) == 31
+        assert max(built.values()) == 1
 
     def test_a_block_builds_each_set_and_projection_once(self, monkeypatch):
         block = None
