@@ -24,11 +24,12 @@ scopes:
 * per Grassmannian: a ``GrassmannianMemo`` holds the results for the two
   Grassmannians last asked for.  An exhaustive (n, k) block reads only
   Gr(k, n), where its frames lie, and Gr(n-k, n), where its twins'
-  targets lie, so each result is built once per block; holding one
-  Grassmannian would rebuild them at every switch between the two.
+  targets lie, and its mirror block (n, n-k), verified right after it,
+  reads the same two, so each result is built once per sweep; holding
+  one Grassmannian would rebuild them at every switch between the two.
   These are ``k_subset_masks``, the opposite Schubert fixed-point sets
-  and the rectangle projections of ``neighborhoods`` with their
-  ``inner`` index.
+  and the rectangle projections of ``neighborhoods``, each with the near
+  parts that the joins have asked it for.
 * per frame: the one-entry ``neighborhoods._frame_checks`` and
   ``quantum._quantum_terms``.  An exhaustive sweep verifies each dual
   case right after the primal case of its frame and reads them back.

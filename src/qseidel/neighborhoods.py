@@ -18,19 +18,22 @@ Subsets of a mask are enumerated as sums of its single-bit values.  A
 projection is a ``Projection``: a variety's fixed points with the count
 of its pairs, which are never listed.  The projection of the rectangle
 side depends only on (beta, k, n, d).  It is memoized per Grassmannian
-with its ``inner`` index, which maps each inner set A to the masks L of
-the near parts.  ``fp_richardson`` is the one place that intersects two
-projections: it splits each opposite-side fixed point M as A + U, keeps
-the near parts L at A that lie below min U, and files each such A under
-its difference W = U + L, so pairs are never held as tuples.
-``gamma_fp`` turns each group into one bitset indexed by mask value,
-2^n bits, and unites the shifted bitsets, so no member is listed twice.
+with its ``reach``, the union of its fixed points, and the near parts
+(the masks L with A + L a fixed point) of each inner set A that a join
+has asked for, computed on first request.  ``fp_richardson`` is the one
+place that intersects two projections: it splits each opposite-side
+fixed point M as A + U with A inside the reach, keeps the near parts L
+at A that lie below min U, and files each such A under its difference
+W = U + L, so pairs are never held as tuples.  ``gamma_fp`` turns the
+larger side of each group, its inner sets or the d-subsets of W, into
+one bitset indexed by mask value, 2^n bits, and unites its shifts by
+the smaller side, so no member is listed twice.
 
 A case with 0 < i < k is computed in the dual Grassmannian, in exactly
 the frame of one primal case of the (n, n-k) block, its twin.  An
-exhaustive sweep verifies each such case right after its twin
-(``SweepCases.twin_order``).  The scopes of the memos here are stated in
-``grassmann``.
+exhaustive sweep verifies each such case right after its twin, and each
+block right after its mirror (``SweepCases.twin_order``).  The scopes of
+the memos here are stated in ``grassmann``.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ import random
 from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb
 from multiprocessing import Pool
+from operator import or_
 from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 from .grassmann import (
@@ -98,23 +102,34 @@ class Projection:
     exactly when its near extremal member (A + L for "B", A + U for
     "Bminus") is in ``fps``.  ``len`` counts the pairs by that rule.
 
-    On side "B", ``inner`` indexes the near members by their inner set:
-    it maps A = C - L, for C in ``fps`` and every d-subset L of C, to the
-    list of masks L.  ``fp_richardson`` joins it with the "Bminus" fixed
-    points and returns the common pairs grouped by their difference
-    B - A.
+    ``reach`` is the union of ``fps``; it holds the inner set A of every
+    pair, and on side "B" it is {1..max} of the variety's k-subset.
+    ``near_parts`` gives the near parts at an inner set A on side "B":
+    the masks L of the d-subsets of ``reach`` - A with A + L in ``fps``.
+    Each list is computed on first request and kept in the dict
+    ``inner``, so a memoized projection serves every frame that reads
+    it.  ``fp_richardson`` reads them for the "Bminus" fixed points and
+    returns the common pairs grouped by their difference B - A.
     """
 
     def __init__(self, side: Side, fps: frozenset[int], d: int, k: int, n: int) -> None:
         self.side, self.fps, self.d, self.k, self.n = side, fps, d, k, n
+        self.inner: dict[int, list[int]] = {}
 
     @cached_property
-    def inner(self) -> dict[int, list[int]]:
-        index: dict[int, list[int]] = {}
-        for c in self.fps:
-            for near in map(sum, itertools.combinations(bit_values(c), self.d)):
-                index.setdefault(c - near, []).append(near)
-        return index
+    def reach(self) -> int:
+        return reduce(or_, self.fps, 0)
+
+    def near_parts(self, a: int) -> list[int]:
+        nears = self.inner.get(a)
+        if nears is None:
+            fps = self.fps
+            nears = self.inner[a] = [
+                near
+                for near in map(sum, itertools.combinations(bit_values(self.reach & ~a), self.d))
+                if a | near in fps
+            ]
+        return nears
 
     @cached_property
     def _size(self) -> int:
@@ -179,23 +194,33 @@ def fp_richardson(
     Otherwise (A, B) lies in both exactly when A + L is a "B" fixed point
     and A + U a "Bminus" one, for the d least elements L and the d
     greatest U of B - A.  So each "Bminus" fixed point M is split as
-    A + U over the d-subsets U of M, and every near part L that the "B"
-    side's ``inner`` index holds at A with max L < min U files A under
-    W = U + L.  As masks that test is L < U & -U, the lowest bit of U; it
-    also keeps L and U disjoint.  A difference splits into its L and U one
-    way only, so no pair is filed twice.
+    A + U, and every near part L that the "B" side holds at A with
+    max L < min U files A under W = U + L.  As masks that test is
+    L < U & -U, the lowest bit of U; it also keeps L and U disjoint.  A
+    difference splits into its L and U one way only, so no pair is filed
+    twice.
+
+    Only an A inside the "B" side's ``reach`` has near parts, so U holds
+    the e elements of M outside the reach: M is skipped when e > d, and
+    otherwise U is those e plus each (d - e)-subset of M's part inside
+    the reach.
     """
     p = fp_projected_schubert("B", lam_b, d, k, n)
     q = fp_projected_schubert("Bminus", lam_bm, d, k, n)
     if d == 0:
         common = p.fps & q.fps
         return {0: list(common)} if common else {}
-    inner = p.inner
+    reach, near_parts = p.reach, p.near_parts
     groups: dict[int, list[int]] = {}
     for m in q.fps:
-        for far in map(sum, itertools.combinations(bit_values(m), d)):
+        beyond = m & ~reach
+        free = d - beyond.bit_count()
+        if free < 0:
+            continue
+        for rest in map(sum, itertools.combinations(bit_values(m & reach), free)):
+            far = beyond | rest
             a = m - far
-            nears = inner.get(a)
+            nears = near_parts(a)
             if nears:
                 low = far & -far
                 for near in nears:
@@ -229,21 +254,25 @@ def gamma_fp(
     opposite variety by codimension.
 
     The members are the sets A + X for the pairs (A, B) of
-    ``fp_richardson`` and the d-subsets X of B - A.  Each group of pairs
-    with one difference W = B - A has its inner sets A held as one bitset
-    with bit A set (2^n bits, 8 KB at the rank cap), built once per
-    group.  Shifting that bitset left by X adds X to every A at once,
-    since A and X are disjoint, so the union is one OR per d-subset of
-    each W, and its set bits are read off once.
+    ``fp_richardson`` and the d-subsets X of B - A.  For each group of
+    pairs with one difference W = B - A, the larger of its two sides,
+    the inner sets A or the d-subsets X of W, is held as one bitset with
+    a bit set at each mask (2^n bits, 8 KB at the rank cap).  Shifting
+    that bitset left by a member of the smaller side adds it to every
+    member of the larger at once, since A and X are disjoint, so the
+    group costs one OR per member of its smaller side.  The set bits of
+    the union are read off once.
 
     >>> fmt_subsets(gamma_fp((), (1,), 1, 2, 4))
     ['1,2', '1,3', '1,4', '2,3', '2,4']
     """
     bits = 0
     for diff, inner in fp_richardson(lam_b, lam_bm, d, k, n).items():
-        group = _bitset(inner, n)
-        for x in map(sum, itertools.combinations(bit_values(diff), d)):
-            bits |= group << x
+        xs = list(map(sum, itertools.combinations(bit_values(diff), d)))
+        small, large = (inner, xs) if len(inner) < len(xs) else (xs, inner)
+        group = _bitset(large, n)
+        for shift in small:
+            bits |= group << shift
     # the binary digits after "0b", reversed so that byte m is 1 when bit m is set
     digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BYTES)
     return frozenset(itertools.compress(itertools.count(), digits))
@@ -395,7 +424,7 @@ class SweepCases(abc.Sequence):
 
     ``twin_order`` lists the same cases in the order an exhaustive sweep
     verifies them, each dual case right after the primal case that shares
-    its frame.
+    its frame, and each block (n, n-k) right after its mirror (n, k).
     """
 
     def __init__(self, n_max: int) -> None:
@@ -433,8 +462,13 @@ class SweepCases(abc.Sequence):
         (n, n-k, n-i, u*) with n-i > n-k, so it comes right after that
         case instead of in its own block.  The dual case is built from its
         twin, not looked up, so each block's quotient is still built once.
+        Block (n, n-k) comes right after (n, k): both read Gr(k, n) and
+        Gr(n-k, n), so the memoized results of each are built once per
+        sweep.  Within one n the pair with the largest min(k, n-k) comes
+        first, so a sweep ends on Gr(1, n) and Gr(n-1, n), whose memos
+        hold least while the report renders.
         """
-        for b, (n, k) in enumerate(self.blocks):
+        for b, (n, k) in sorted(enumerate(self.blocks), key=_mirror_rank):
             reps = _block_reps(n, k)
             for i in itertools.chain([0], range(k, n)):
                 for r, u in enumerate(reps):
@@ -450,6 +484,13 @@ class SweepCases(abc.Sequence):
         b = (n - 1) * (n - 2) // 2 + n - k - 1
         j = self.starts[b] + (n - i) * comb(n, k) + _lex_rank(twin[: n - k], n)
         return j, (n, n - k, n - i, twin)
+
+
+def _mirror_rank(block: tuple[int, tuple[int, int]]) -> tuple[int, int]:
+    """Sort key of an indexed block (b, (n, k)): n, then min(k, n-k)
+    descending.  The sort is stable, so (n, k) stays before (n, n-k)."""
+    n, k = block[1]
+    return n, -min(k, n - k)
 
 
 def _block_reps(n: int, k: int) -> list[Perm]:

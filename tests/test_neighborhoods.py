@@ -26,6 +26,7 @@ from qseidel.grassmann import (
     fp_schubert_bminus,
     k_subset_masks,
     mask_of,
+    partition_subset,
     perm_to_partition,
     size,
     sorted_subsets,
@@ -171,6 +172,51 @@ class TestProjectionOracle:
                 )
                 assert flat_pairs(fp_richardson(lb, lbm, d, k, n)) == both, (lb, lbm, d, k, n)
 
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_join_matches_oracle_at_n10_and_n11(self, n):
+        # Seidel frames, whose "B" side is a k-row rectangle, and frames
+        # whose "B" side is no rectangle and reaches below n, so that the
+        # join skips the "Bminus" fixed points with too much outside it
+        rng = random.Random(n)
+        frames = []
+        while len(frames) < 7:
+            k = rng.choice((2, 3, n - 3, n - 2))
+            parts = box_partitions(k, n)
+            lam = rng.choice(parts)
+            if len(frames) < 4:
+                beta = rng.randrange(k, n)
+                lb = box_complement(seidel_class(beta, k, n), k, n)
+                frames.append((lb, lam, seidel_degree(lam, beta, k, n), k, n))
+                continue
+            lb = rng.choice(parts)
+            if len(set(lb)) > 1 and lb[0] < n - k:
+                frames.append((lb, lam, rng.randint(1, min(k, n - k)), k, n))
+        for lb, lbm, d, k, n in frames:
+            reach = fp_projected_schubert("B", lb, d, k, n).reach
+            assert reach == mask_of(range(1, partition_subset(lb, k)[-1] + 1))
+            both = oracle_projection(fp_schubert_b(lb, k, n), d, k, n) & oracle_projection(
+                fp_schubert_bminus(lbm, k, n), d, k, n
+            )
+            assert flat_pairs(fp_richardson(lb, lbm, d, k, n)) == both, (lb, lbm, d, k, n)
+
+    def test_near_parts_are_the_near_members_by_inner_set(self):
+        # computed on demand, they equal the index C - L -> L over every
+        # fixed point C and d-subset L of C, for every (lam_b, d) with n <= 7
+        for n in range(2, 8):
+            for k in range(1, n):
+                for lb in box_partitions(k, n):
+                    fps = fp_schubert_b(lb, k, n)
+                    for d in range(min(k, n - k) + 1):
+                        index = collections.defaultdict(set)
+                        for c in fps:
+                            for near in itertools.combinations(subset_of(c), d):
+                                index[c - mask_of(near)].add(mask_of(near))
+                        proj = fp_projected_schubert("B", lb, d, k, n)
+                        for a in k_subset_masks(n, k - d):
+                            got = proj.near_parts(a)
+                            assert len(set(got)) == len(got)
+                            assert set(got) == index.get(a, set()), (lb, d, k, n, a)
 
     @given(st.data())
     def test_groups_match_oracle_on_random_frames(self, data):
@@ -345,12 +391,12 @@ class TestGammaBitset:
 
 
     def test_rank_cap_frame_holds_no_pair_list(self):
-        # the frame above, with its two projections built: the join and the
-        # union hold each group's inner sets, never every pair at once
+        # the frame above, with its projections and near parts built by a
+        # first call: the join and the union hold each group's inner sets,
+        # never every pair at once
         lam_b = box_complement(seidel_class(13, 7, 16), 7, 16)
         lam = (9, 9, 9, 1, 1)
-        fp_projected_schubert("B", lam_b, 3, 7, 16).inner
-        fp_projected_schubert("Bminus", lam, 3, 7, 16)
+        gamma_fp(lam_b, lam, 3, 7, 16)
         tracemalloc.start()
         try:
             gamma_fp(lam_b, lam, 3, 7, 16)
@@ -358,6 +404,21 @@ class TestGammaBitset:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_sampled_frame_shifting_the_subsets(self):
+        # a frame of the seed-0 sampled n = 16 sweep: Gr(10, 16), beta = 11,
+        # d = 4, where every group holds fewer inner sets than its 70
+        # 4-subsets, so the subsets' bitset is shifted by the inner sets
+        lam_b = box_complement(seidel_class(11, 10, 16), 10, 16)
+        lam = (6, 5, 5, 5, 5, 2, 2, 2, 1, 1)
+        assert seidel_degree(lam, 11, 10, 16) == 4
+        groups = fp_richardson(lam_b, lam, 4, 10, 16)
+        assert len(groups) == 780
+        assert sum(map(len, groups.values())) == len(flat_pairs(groups)) == 2220
+        assert max(map(len, groups.values())) < math.comb(8, 4)
+        got = gamma_fp(lam_b, lam, 4, 10, 16)
+        assert len(got) == 3829
+        assert got == listed_boxes(lam_b, lam, 4, 10, 16)
 
 
 class TestGFlagChain:
@@ -860,3 +921,9 @@ class TestCacheScopes:
         assert sweep(7).all_passed
         assert {side for _, side, _ in built} == set(SCOPED)
         assert max(built.values()) == 1
+        # block (n, n - k) follows (n, k) and reads the same two
+        # Grassmannians, so nothing is rebuilt over the whole sweep either
+        whole = collections.Counter()
+        for (_, side, args), count in built.items():
+            whole[side, args] += count
+        assert max(whole.values()) == 1
