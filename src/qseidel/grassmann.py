@@ -21,15 +21,17 @@ serves only the flag chains of ``neighborhoods``.
 Cached values are immutable.  Every memo of the package has one of three
 scopes:
 
-* per Grassmannian: a ``GrassmannianMemo`` holds the results for the two
-  Grassmannians last asked for.  An exhaustive (n, k) block reads only
-  Gr(k, n), where its frames lie, and Gr(n-k, n), where its twins'
-  targets lie, and its mirror block (n, n-k), verified right after it,
-  reads the same two, so each result is built once per sweep; holding
-  one Grassmannian would rebuild them at every switch between the two.
-  These are ``k_subset_masks``, the opposite Schubert fixed-point sets
-  and the rectangle projections of ``neighborhoods``, each with the near
-  parts that the joins have asked it for.
+* per pair: every ``GrassmannianMemo`` keeps its results in one shared
+  store, which holds the pair {Gr(k, n), Gr(n-k, n)} of the last call
+  and is emptied by a call on another pair and by ``neighborhoods.sweep``
+  when it returns.  A case reads only the pair of its own k: its target
+  lies in Gr(k, n), and so does its frame unless it is computed in the
+  dual Grassmannian Gr(n-k, n).  Both sweep modes verify the cases of
+  one pair together, in the order of ``pair_key``, so each result is
+  built once per sweep.  These are ``k_subset_masks``, the opposite
+  Schubert fixed-point sets and the rectangle projections of
+  ``neighborhoods``, each with the near parts that the joins have asked
+  it for.
 * per frame: the one-entry ``neighborhoods._frame_checks`` and
   ``quantum._quantum_terms``.  An exhaustive sweep verifies each dual
   case right after the primal case of its frame and reads them back.
@@ -42,7 +44,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, update_wrapper
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perms import Perm, check_perm, longest_element, min_coset_rep, parse_ints
 
@@ -252,37 +254,49 @@ def bit_values(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class GrassmannianMemo:
-    """Memo of a function whose last two arguments name the Grassmannian,
-    holding the results for the two Grassmannians it was last called on.
+def pair_key(k: int, n: int) -> tuple[int, int]:
+    """Key of the pair {Gr(k, n), Gr(n-k, n)}: n, then min(k, n-k)
+    descending, the order in which sweeps visit the pairs.
 
-    ``scopes`` maps each held pair of those arguments to its results, the
-    most recent last.  A call on a third Grassmannian drops the least
-    recent one.
+    >>> pair_key(3, 7) == pair_key(4, 7) < pair_key(2, 7)
+    True
     """
+    return n, -min(k, n - k)
+
+
+class GrassmannianMemo:
+    """Memo of a function whose last two arguments are (k, n).
+
+    Every such memo keeps its results in the one shared ``store``, which
+    holds the results for the pair ``held``, the ``pair_key`` of the last
+    call.  A call on another pair empties the store first, and so do
+    ``cache_clear`` and ``neighborhoods.sweep`` when it returns.
+    """
+
+    held: Optional[tuple[int, int]] = None
+    store: dict[tuple, object] = {}
 
     def __init__(self, fn: Callable) -> None:
         update_wrapper(self, fn)
         self.fn = fn
-        self.scopes: dict[tuple[int, int], dict[tuple, object]] = {}
 
     def __call__(self, *args):
-        scope = self.scopes.pop(args[-2:], None)
-        if scope is None:
-            scope = {}
-            if len(self.scopes) == 2:
-                del self.scopes[next(iter(self.scopes))]
-        self.scopes[args[-2:]] = scope
-        if args not in scope:
-            scope[args] = self.fn(*args)
-        return scope[args]
+        pair = pair_key(*args[-2:])
+        if pair != GrassmannianMemo.held:
+            GrassmannianMemo.cache_clear()
+            GrassmannianMemo.held = pair
+        if (self, args) not in self.store:
+            self.store[self, args] = self.fn(*args)
+        return self.store[self, args]
 
-    def cache_clear(self) -> None:
-        self.scopes.clear()
+    @staticmethod
+    def cache_clear() -> None:
+        GrassmannianMemo.held = None
+        GrassmannianMemo.store.clear()
 
 
 @GrassmannianMemo
-def k_subset_masks(n: int, k: int) -> tuple[int, ...]:
+def k_subset_masks(k: int, n: int) -> tuple[int, ...]:
     """Masks of all k-subsets of {1..n}, ordered like sorted tuples."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -303,7 +317,7 @@ def _lex_rank(subset: Sequence[int], n: int) -> int:
 def _gale_interval(lo: Sequence[int], hi: Sequence[int], n: int) -> frozenset[int]:
     """The k-subsets t of {1..n} with lo[j] <= t[j] <= hi[j] for every j,
     for ascending k-subsets lo <= hi entrywise, read out of
-    ``k_subset_masks(n, k)`` by rank.
+    ``k_subset_masks(k, n)`` by rank, which the pair's store keeps.
 
     The walk places one element at a time and carries each prefix's part
     of ``_lex_rank``, which is a sum over the elements.  Every prefix
@@ -312,7 +326,7 @@ def _gale_interval(lo: Sequence[int], hi: Sequence[int], n: int) -> frozenset[in
     the table.
     """
     k = len(lo)
-    table = k_subset_masks(n, k)
+    table = k_subset_masks(k, n)
     # ends[p]: the rank so far of each prefix whose last element is p
     ends = [[len(table) - 1]] + [[] for _ in range(n)]
     for j in range(k - 1):
@@ -341,7 +355,7 @@ def flag_fixed_points(flags: Sequence[int], k: int, n: int) -> frozenset[int]:
     The flag chains of ``neighborhoods`` read this filter; Schubert
     varieties walk their Gale interval instead.
     """
-    masks = k_subset_masks(n, k)
+    masks = k_subset_masks(k, n)
     for i, f in enumerate(flags, start=1):
         # a k-subset meets a flag of size >= n-k+i in at least i elements
         if f.bit_count() < n - k + i:

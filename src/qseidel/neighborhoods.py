@@ -18,9 +18,9 @@ Subsets of a mask are enumerated as sums of its single-bit values.  A
 projection is a ``Projection``: a variety's fixed points with the count
 of its pairs, which are never listed.  The projection of the rectangle
 side depends only on (beta, k, n, d).  It is memoized per Grassmannian
-with its ``reach``, the union of its fixed points, and the near parts
-(the masks L with A + L a fixed point) of each inner set A that a join
-has asked for, computed on first request.  ``fp_richardson`` is the one
+pair with its ``reach``, the union of its fixed points, and the near
+parts (the masks L with A + L a fixed point) of each inner set A that a
+join has asked for, computed on first request.  ``fp_richardson`` is the one
 place that intersects two projections: it splits each opposite-side
 fixed point M as A + U with A inside the reach, keeps the near parts L
 at A that lie below min U, and files each such A under its difference
@@ -33,7 +33,8 @@ A case with 0 < i < k is computed in the dual Grassmannian, in exactly
 the frame of one primal case of the (n, n-k) block, its twin.  An
 exhaustive sweep verifies each such case right after its twin, and each
 block right after its mirror (``SweepCases.twin_order``).  The scopes of
-the memos here are stated in ``grassmann``.
+the memos here are stated in ``grassmann``; ``sweep`` empties the store
+of the per-pair memos when it returns.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .grassmann import (
     fp_schubert_bminus,
     interval_mask,
     mask_of,
+    pair_key,
     partition_subset,
     size,
     translate_fp,
@@ -462,13 +464,14 @@ class SweepCases(abc.Sequence):
         (n, n-k, n-i, u*) with n-i > n-k, so it comes right after that
         case instead of in its own block.  The dual case is built from its
         twin, not looked up, so each block's quotient is still built once.
-        Block (n, n-k) comes right after (n, k): both read Gr(k, n) and
-        Gr(n-k, n), so the memoized results of each are built once per
-        sweep.  Within one n the pair with the largest min(k, n-k) comes
-        first, so a sweep ends on Gr(1, n) and Gr(n-1, n), whose memos
-        hold least while the report renders.
+        Block (n, n-k) comes right after (n, k): both read the pair
+        Gr(k, n) and Gr(n-k, n), so the per-pair memos build each result
+        once per sweep.  The pairs run in the order of ``pair_key``, the
+        largest min(k, n-k) of each n first; the sort is stable, so (n, k)
+        stays before (n, n-k).
         """
-        for b, (n, k) in sorted(enumerate(self.blocks), key=_mirror_rank):
+        ranked = sorted(enumerate(self.blocks), key=lambda item: pair_key(item[1][1], item[1][0]))
+        for b, (n, k) in ranked:
             reps = _block_reps(n, k)
             for i in itertools.chain([0], range(k, n)):
                 for r, u in enumerate(reps):
@@ -484,13 +487,6 @@ class SweepCases(abc.Sequence):
         b = (n - 1) * (n - 2) // 2 + n - k - 1
         j = self.starts[b] + (n - i) * comb(n, k) + _lex_rank(twin[: n - k], n)
         return j, (n, n - k, n - i, twin)
-
-
-def _mirror_rank(block: tuple[int, tuple[int, int]]) -> tuple[int, int]:
-    """Sort key of an indexed block (b, (n, k)): n, then min(k, n-k)
-    descending.  The sort is stable, so (n, k) stays before (n, n-k)."""
-    n, k = block[1]
-    return n, -min(k, n - k)
 
 
 def _block_reps(n: int, k: int) -> list[Perm]:
@@ -551,11 +547,6 @@ class SweepReport:
         }
 
 
-def _grassmannians(case: Case) -> tuple[int, int]:
-    n, k = case[0], case[1]
-    return n, min(k, n - k)
-
-
 class _Order:
     """The cases of a sweep in the order it verifies them, each with its
     canonical index.  ``pairs`` starts a fresh pass.  Iterating gives the
@@ -585,11 +576,13 @@ def sweep(
     """Verify every case up to n_max, or a seeded sample of them.
 
     An exhaustive sweep verifies the cases in ``twin_order``.  A sampled
-    one sorts its cases and verifies them grouped by n and min(k, n - k),
-    in sorted order within a group.  ``jobs`` > 1 fans them over a process
-    pool of at most one worker per usable CPU in the same order.  Each
-    record is filed at its case's canonical index, or its position in the
-    sorted sample, either way, so emitted reports are byte-stable.
+    one sorts its cases and verifies them grouped by their pair, in the
+    order of ``pair_key``, and in sorted order within a pair.  ``jobs`` > 1
+    fans them over a process pool of at most one worker per usable CPU in
+    the same order.  Each record is filed at its case's canonical index,
+    or its position in the sorted sample, either way, so emitted reports
+    are byte-stable.  The store of the per-pair memos is emptied on
+    return, so the report is rendered without the last pair's results.
     """
     if jobs is not None:
         if jobs < 1:
@@ -604,9 +597,9 @@ def sweep(
             seed = DEFAULT_SEED
         cases = sweep_cases(n_max)
         cases = sorted(random.Random(seed).sample(cases, min(sample_size, len(cases))))
-        # a case reads Gr(k, n) and Gr(n - k, n), the two Grassmannians a
-        # GrassmannianMemo holds, so cases that share them run together
-        slots = sorted(range(len(cases)), key=lambda j: _grassmannians(cases[j]))
+        # a case reads only the pair of its k, which the per-pair store
+        # holds, so cases of one pair run together
+        slots = sorted(range(len(cases)), key=lambda j: pair_key(cases[j][1], cases[j][0]))
         order = _Order(len(cases), lambda: ((j, cases[j]) for j in slots))
     elif mode == "exhaustive":
         if sample_size is not None or seed is not None:
@@ -624,6 +617,7 @@ def sweep(
     records: list = [None] * len(cases)
     for j, rec in done:
         records[j] = rec
+    GrassmannianMemo.cache_clear()
     return SweepReport(
         n_max=n_max,
         mode=mode,

@@ -24,6 +24,7 @@ from qseidel.grassmann import (
     k_subset_masks,
     mask_of,
     normalize_partition,
+    pair_key,
     parse_partition,
     partition_subset,
     partition_to_perm,
@@ -174,22 +175,50 @@ class TestMasks:
         assert interval_mask(3, 2) == 0
 
     def test_k_subsets_order(self):
-        masks = k_subset_masks(4, 2)
+        masks = k_subset_masks(2, 4)
         assert [subset_of(m) for m in masks] == [
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
 
     def test_k_subsets_table_cannot_be_changed_by_callers(self):
-        copy = list(k_subset_masks(4, 2))
+        copy = list(k_subset_masks(2, 4))
         copy.reverse()
         copy.append(0)
-        assert [subset_of(m) for m in k_subset_masks(4, 2)] == [
+        assert [subset_of(m) for m in k_subset_masks(2, 4)] == [
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
 
     def test_k_subsets_reject_k_above_n(self):
         with pytest.raises(ValueError, match="need 0 <= k <= n, got k=3, n=2"):
-            k_subset_masks(2, 3)
+            k_subset_masks(3, 2)
+
+    def test_the_store_holds_the_pair_of_the_last_call(self, monkeypatch):
+        built = []
+        build = k_subset_masks.fn
+
+        def counted(k, n):
+            built.append((k, n))
+            return build(k, n)
+
+        monkeypatch.setattr(k_subset_masks, "fn", counted)
+        store = grassmann.GrassmannianMemo.store
+        first = k_subset_masks(3, 7)
+        k_subset_masks(4, 7)
+        # Gr(3, 7) and Gr(4, 7) are one pair, so its first table is kept
+        assert k_subset_masks(3, 7) is first
+        assert built == [(3, 7), (4, 7)]
+        assert len(store) == 2
+        assert grassmann.GrassmannianMemo.held == pair_key(3, 7) == pair_key(4, 7)
+        # another pair empties the store, for every memo that shares it
+        k_subset_masks(2, 7)
+        assert list(store) == [(k_subset_masks, (2, 7))]
+        fp_schubert_bminus((1,), 3, 7)
+        assert (k_subset_masks, (2, 7)) not in store
+        assert k_subset_masks(3, 7) is not first
+        assert built == [(3, 7), (4, 7), (2, 7), (3, 7)]
+        k_subset_masks.cache_clear()
+        assert store == {}
+        assert grassmann.GrassmannianMemo.held is None
 
     def test_bit_values(self):
         assert bit_values(0) == ()
@@ -289,13 +318,13 @@ class TestGaleWalk:
             assert fp_schubert_b((), k, n) == {mask_of(range(1, k + 1))}
             assert fp_schubert_bminus(full, k, n) == {mask_of(range(n - k + 1, n + 1))}
             assert fp_schubert_b(full, k, n) == fp_schubert_bminus((), k, n) == set(
-                k_subset_masks(n, k)
+                k_subset_masks(k, n)
             )
 
     def test_lex_rank_is_the_table_index(self):
         for n in range(1, 11):
             for k in range(n + 1):
-                table = k_subset_masks(n, k)
+                table = k_subset_masks(k, n)
                 for subset in itertools.combinations(range(1, n + 1), k):
                     assert grassmann._lex_rank(subset, n) == table.index(mask_of(subset))
 
@@ -373,7 +402,7 @@ class TestDuality:
     def test_dual_mask_involution(self):
         for n in range(2, 7):
             for k in range(1, n):
-                for m in k_subset_masks(n, k):
+                for m in k_subset_masks(k, n):
                     d = dual_mask(m, n)
                     assert d.bit_count() == n - k
                     assert dual_mask(d, n) == m

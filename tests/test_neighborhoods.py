@@ -26,6 +26,7 @@ from qseidel.grassmann import (
     fp_schubert_bminus,
     k_subset_masks,
     mask_of,
+    pair_key,
     partition_subset,
     perm_to_partition,
     size,
@@ -213,7 +214,7 @@ class TestProjectionOracle:
                             for near in itertools.combinations(subset_of(c), d):
                                 index[c - mask_of(near)].add(mask_of(near))
                         proj = fp_projected_schubert("B", lb, d, k, n)
-                        for a in k_subset_masks(n, k - d):
+                        for a in k_subset_masks(k - d, n):
                             got = proj.near_parts(a)
                             assert len(set(got)) == len(got)
                             assert set(got) == index.get(a, set()), (lb, d, k, n, a)
@@ -270,14 +271,9 @@ class TestGamma:
                             prev = cur
 
     def test_matches_triple_scan_oracle_exhaustive(self):
-        # each set is first computed here on a cold cache, then served warm
-        for cached in (
-            grassmann.k_subset_masks,
-            grassmann.bit_values,
-            grassmann._fp_schubert_bminus,
-            neighborhoods._projected_b,
-        ):
-            cached.cache_clear()
+        # each set is first computed here on a cold cache, then served warm;
+        # the per-pair store starts empty in every test
+        grassmann.bit_values.cache_clear()
         for n in range(2, 7):
             for k in range(1, n):
                 parts = box_partitions(k, n)
@@ -358,7 +354,7 @@ class TestGammaBitset:
         # 3-subsets that meet it, 90 of them above element 8
         got = gamma_fp((), (), 2, 3, 12)
         assert got == listed_boxes((), (), 2, 3, 12)
-        assert got == {m for m in k_subset_masks(12, 3) if m & 0b111}
+        assert got == {m for m in k_subset_masks(3, 12) if m & 0b111}
         assert len(got) == math.comb(12, 3) - math.comb(9, 3)
         assert max(got) == mask_of({3, 11, 12})
 
@@ -852,7 +848,7 @@ class TestTwinOrder:
         assert verify_case(*second) == expect
 
 
-# the memos that hold the results of the two Grassmannians last asked for
+# the memos that keep their results in the per-pair store
 SCOPED = {
     "Bminus": grassmann._fp_schubert_bminus,
     "B": neighborhoods._projected_b,
@@ -860,38 +856,54 @@ SCOPED = {
 }
 
 
+def store_pairs():
+    """The pair the per-pair store holds and the pairs of its entries."""
+    store = grassmann.GrassmannianMemo.store
+    return grassmann.GrassmannianMemo.held, {pair_key(*args[-2:]) for _, args in store}
+
+
 @pytest.fixture(scope="module")
 def rank_16_sample():
-    """The 100-case seed-3 rank-16 sample swept on cold memos: its report,
-    the k-subset tables it built, counted by (n, k), and how many
-    Grassmannians each scoped memo holds afterwards."""
+    """The 100-case seed-3 rank-16 sample swept on an empty store: its
+    report, the k-subset tables it built, counted by (k, n), each case's
+    pair with the store's pairs after the case, and the store's pairs after
+    the sweep returned."""
     built = collections.Counter()
     masks = grassmann.k_subset_masks
     build = masks.fn
+    verify = neighborhoods.verify_case
+    after_case = []
 
-    def counted(n, k):
-        built[n, k] += 1
-        return build(n, k)
+    def counted(k, n):
+        built[k, n] += 1
+        return build(k, n)
+
+    def verify_and_look(n, k, i, u):
+        rec = verify(n, k, i, u)
+        after_case.append((pair_key(k, n), store_pairs()))
+        return rec
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(masks, "fn", counted)
-        for memo in SCOPED.values():
-            memo.cache_clear()
+        mp.setattr(neighborhoods, "verify_case", verify_and_look)
+        grassmann.GrassmannianMemo.cache_clear()
         report = sweep(16, mode="sampled", sample_size=100, seed=3)
-        held = {side: len(memo.scopes) for side, memo in SCOPED.items()}
-    return report, built, held
+    return report, built, after_case, store_pairs()
 
 
 class TestCacheScopes:
-    def test_rank_16_sample_keeps_two_grassmannians(self, rank_16_sample):
-        report, _, held = rank_16_sample
+    def test_rank_16_sample_holds_one_pair_and_returns_empty(self, rank_16_sample):
+        report, _, after_case, after_sweep = rank_16_sample
         assert report.all_passed
-        for count in held.values():
-            assert 1 <= count <= 2
+        assert len(after_case) == 100
+        for pair, (held, entries) in after_case:
+            assert held == pair
+            assert entries == {pair}
+        assert after_sweep == (None, set())
 
     def test_rank_16_sample_builds_each_table_once(self, rank_16_sample):
         # the cases that read Gr(k, 16) and Gr(16 - k, 16) run together
-        _, built, _ = rank_16_sample
+        _, built, _, _ = rank_16_sample
         assert len(built) == 31
         assert max(built.values()) == 1
 
@@ -907,7 +919,6 @@ class TestCacheScopes:
             return counted
 
         for side, memo in SCOPED.items():
-            memo.cache_clear()
             monkeypatch.setattr(memo, "fn", counting(side, memo.fn))
         verify = neighborhoods.verify_case
 
