@@ -12,7 +12,6 @@ count never changes a byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -88,6 +87,8 @@ CSV_COLUMNS = ("n", "k", "i", "u", "beta", "dualized", "d", "pass") + neighborho
 
 
 def render_cases_csv(records: list[dict]) -> str:
+    import csv  # only --format csv writes it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

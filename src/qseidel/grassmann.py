@@ -327,10 +327,11 @@ def _gale_interval(lo: Sequence[int], hi: Sequence[int], n: int) -> frozenset[in
     """
     k = len(lo)
     table = k_subset_masks(k, n)
-    # ends[p]: the rank so far of each prefix whose last element is p
-    ends = [[len(table) - 1]] + [[] for _ in range(n)]
+    # ends[p]: the rank so far of each prefix whose last element is p;
+    # the slots a level leaves unused share one empty tuple, never mutated
+    ends: list[Sequence[int]] = [[len(table) - 1]] + [()] * n
     for j in range(k - 1):
-        step: list[list[int]] = [[] for _ in range(n + 1)]
+        step: list[Sequence[int]] = [()] * (n + 1)
         # the prefixes that the least element t = lo[j] extends
         below = list(itertools.chain.from_iterable(ends[: lo[j]]))
         for t in range(lo[j], hi[j] + 1):

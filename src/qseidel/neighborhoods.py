@@ -41,15 +41,12 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 from bisect import bisect_right
 from collections import abc
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import comb
-from multiprocessing import Pool
 from operator import or_
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .grassmann import (
     MAX_RANK,
@@ -514,8 +511,7 @@ def _usable_cpus() -> int:
 DEFAULT_SEED = 0
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Aggregate of a verification sweep: one ``verify_case`` record per
     case, in canonical order whatever the worker count."""
 
@@ -595,6 +591,8 @@ def sweep(
             raise ValueError(f"need sample_size >= 1, got {sample_size}")
         if seed is None:
             seed = DEFAULT_SEED
+        import random  # only a sampled sweep draws cases
+
         cases = sweep_cases(n_max)
         cases = sorted(random.Random(seed).sample(cases, min(sample_size, len(cases))))
         # a case reads only the pair of its k, which the per-pair store
@@ -609,6 +607,8 @@ def sweep(
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'sampled': {mode!r}")
     if jobs is not None and jobs > 1 and len(cases) > 1:
+        from multiprocessing import Pool  # only a sweep with jobs > 1 starts workers
+
         chunk = max(1, len(cases) // (jobs * 8))
         with Pool(jobs) as pool:
             done = zip(order.slots(), pool.map(_verify_record, order, chunksize=chunk))

@@ -16,9 +16,8 @@ performs exactly those removals in a canonical order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .grassmann import (
     Partition,
@@ -275,8 +274,7 @@ def _rectangle(beta: int, k: int, n: int) -> Partition:
     return ((n - beta),) * k
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """The Grassmannian in which the shift by index i is computed.
 
     The degree and chain formulas need beta >= k.  For i >= k the frame
@@ -323,8 +321,7 @@ def _frame(lam: Partition, i: int, k: int, n: int) -> Frame:
     return Frame(k=n - k, lam=lam, beta=n - i, dualized=True, d=_degree(lam, n - i, n - k))
 
 
-@dataclass(frozen=True)
-class SeidelCheck:
+class SeidelCheck(NamedTuple):
     """Outcome of the single-term product test for one (u, i) case.
 
     ``target`` is always reported in the original k-plane frame;

@@ -3,9 +3,15 @@
 A name counts as used when the module reads it (``Name`` or the base of an
 attribute chain) or lists it in ``__all__``.  ``from __future__`` imports
 are directives, not names.
+
+Importing the command line loads only what every run uses; the modules
+of one kind of run are imported where that run needs them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +70,21 @@ def test_detects_an_unused_import():
 def test_counts_attribute_bases_and_all():
     src = "import os.path\nfrom x import y\n__all__ = ['y']\nos.path.join('a')\n"
     assert unused_imports(src) == []
+
+
+def test_cli_import_defers_what_only_some_runs_use():
+    # -S keeps site hooks of the host from loading modules of their own
+    script = "import sys, qseidel.cli; print(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "qseidel.cli" in loaded
+    # the pool (--jobs > 1), the CSV writer (--format csv), the sampler
+    # (--mode sampled), and dataclasses with the inspect it pulls in
+    assert loaded.isdisjoint({"multiprocessing", "csv", "random", "dataclasses", "inspect"})

@@ -35,6 +35,7 @@ from qseidel.grassmann import (
 )
 from qseidel.neighborhoods import (
     CHECK_NAMES,
+    SweepReport,
     chain_fixed_points,
     fp_projected_schubert,
     fp_richardson,
@@ -592,7 +593,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(neighborhoods, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     return sizes
 
 
@@ -692,6 +693,26 @@ class TestSweep:
         assert [
             (c["n"], c["k"], c["i"], parse_perm(c["u"])) for c in report.cases
         ] == list(sweep_cases(3))
+
+    def test_report_is_a_value(self):
+        report = sweep(3)
+        same = SweepReport(n_max=3, mode="exhaustive", sample_size=None, seed=None, cases=list(report.cases))
+        assert report == same
+        for field in ("n_max", "mode", "sample_size", "seed", "cases"):
+            with pytest.raises(AttributeError):
+                setattr(report, field, None)
+
+    def test_report_record(self):
+        cases = [{"pass": True}, {"pass": False}, {"pass": True}]
+        report = SweepReport(n_max=5, mode="sampled", sample_size=3, seed=7, cases=cases)
+        assert (report.total, report.all_passed) == (3, False)
+        rec = report.record()
+        assert list(rec) == ["n_max", "mode", "sample_size", "seed", "total", "pass", "fail", "cases"]
+        assert rec == {
+            "n_max": 5, "mode": "sampled", "sample_size": 3, "seed": 7,
+            "total": 3, "pass": 2, "fail": 1, "cases": cases,
+        }
+        assert rec["cases"] is cases
 
     def test_sampled_deterministic(self):
         a = sweep(4, mode="sampled", sample_size=10, seed=123)

@@ -24,6 +24,7 @@ from qseidel.perms import min_coset_rep, parabolic_quotient, seidel_element
 from qseidel.quantum import (
     DegreeMismatchError,
     Frame,
+    SeidelCheck,
     classical_product,
     lr_coeff,
     min_q_degree,
@@ -468,6 +469,17 @@ class TestSeidelShift:
         rep = seidel_product_check((2, 4, 1, 3), 2, 2, 4)
         other = seidel_product_check((4, 2, 3, 1), 2, 2, 4)
         assert (rep.frame.d, rep.target, rep.passed) == (other.frame.d, other.target, other.passed)
+
+    def test_check_is_a_value(self):
+        chk = seidel_product_check((1, 3, 2, 4), 2, 2, 4)
+        frame = Frame(k=2, lam=(1,), beta=2, dualized=False, d=1)
+        assert chk == SeidelCheck(target=(1,), passed=True, product={((1,), 1): 1}, frame=frame)
+        assert chk == seidel_product_check((1, 3, 2, 4), 2, 2, 4)
+        for value, fields in ((chk, ("target", "passed", "product", "frame")),
+                              (chk.frame, ("k", "lam", "beta", "dualized", "d"))):
+            for field in fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, field, None)
 
     @pytest.mark.parametrize(
         "u,k,n,message",
